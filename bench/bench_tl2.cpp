@@ -1,14 +1,16 @@
-// E18 (TL2 versioned-clock STM): the invisible-reader engine against the
-// MCAS double-collect engine and the GL-STM global-lock baseline.
+// E18 (TL2 versioned-clock STM): TxnKv's invisible-reader multi_get
+// against its own double-collect slow path and the GL-STM global-lock
+// baseline.
 //
 // Two sweeps at 8 threads over a 256-account store:
-//   * read-only k-sweep, k in {2,4,8,16}: tl2 on all three substrates
-//     (fig4 CAS-backed, fig7 bounded-tag, figbw block/wide), mcas and
-//     glstm on fig4 as the comparison axis. This is the experiment the
-//     engine exists for — mcas multi_get pays two collect passes plus a
-//     per-key tag recheck, so its read throughput falls with k; the tl2
-//     path reads each cell once and validates a stamp, so the curve
-//     should stay flat. Acceptance: tl2 ro k=8 >= 2x mcas ro k=8 on fig4.
+//   * read-only k-sweep, k in {2,4,8,16}: tl2 (TxnKv::multi_get) on all
+//     three substrates (fig4 CAS-backed, fig7 bounded-tag, figbw
+//     block/wide), mcas (TxnKv::multi_get_double_collect, timed directly)
+//     and glstm on fig4 as the comparison axis. The double-collect pays
+//     two collect passes plus a per-key tag recheck, so its read
+//     throughput falls with k; the invisible reader reads each cell once
+//     and validates a stamp, so the curve should stay flat. Acceptance:
+//     tl2 ro k=8 >= 2x mcas ro k=8 on fig4.
 //   * read-write mix at k=4 on fig4, write fraction in {10,50,90}%:
 //     abort-rate sweep. Writers transfer 1 unit richest -> poorest via
 //     multi_cas expecting their snapshot; losers retry nothing (the next
@@ -34,9 +36,8 @@
 #include "core/bw_llsc.hpp"
 #include "core/llsc_traits.hpp"
 #include "reclaim/epoch.hpp"
+#include "bench/glstm.hpp"
 #include "stats/stats.hpp"
-#include "tl2/glstm.hpp"
-#include "tl2/tl2_txn.hpp"
 #include "txn/txn_kv.hpp"
 #include "util/rng.hpp"
 
@@ -242,35 +243,35 @@ int main(int argc, char** argv) {
   h.header(
       "E18: TL2 invisible readers — read-only k-sweep x substrate vs "
       "mcas/glstm, write-mix abort rates, conservation hard check",
-      "the versioned-clock engine's single-pass validated reads hold their "
-      "throughput as snapshot width k grows while the mcas double-collect "
-      "engine's falls; abort rates stay proportional to the write "
+      "the invisible reader's single-pass validated reads hold their "
+      "throughput as snapshot width k grows while the double-collect "
+      "slow path's falls; abort rates stay proportional to the write "
       "fraction; value checksums are conserved");
 
   using Fig4 = moir::CasBackedLlsc<16>;
   using Fig7 = moir::BoundedLlsc<>;
   using FigBw = moir::BwLlsc<>;
-  using McasEng = moir::txn::TxnKv<Fig4, EpochReclaimer>;
-  using Tl2Fig4 = moir::tl2::Tl2Kv<Fig4, EpochReclaimer>;
-  using Tl2Fig7 = moir::tl2::Tl2Kv<Fig7, EpochReclaimer>;
-  using Tl2FigBw = moir::tl2::Tl2Kv<FigBw, EpochReclaimer>;
-  using GlstmEng = moir::tl2::GlstmKv<Fig4, EpochReclaimer>;
+  using TxnFig4 = moir::txn::TxnKv<Fig4, EpochReclaimer>;
+  using TxnFig7 = moir::txn::TxnKv<Fig7, EpochReclaimer>;
+  using TxnFigBw = moir::txn::TxnKv<FigBw, EpochReclaimer>;
+  using McasEng = moir::bench::DoubleCollectKv<TxnFig4>;
+  using GlstmEng = moir::bench::GlstmKv<Fig4, EpochReclaimer>;
 
   // Read-only k-sweep.
   for (const unsigned k : {2u, 4u, 8u, 16u}) {
     {
       Fig4 fig4;
-      read_only_run<Fig4, Tl2Fig4>(h, ro_name("tl2", "fig4", k), fig4, k,
+      read_only_run<Fig4, TxnFig4>(h, ro_name("tl2", "fig4", k), fig4, k,
                                    &g_tl2_ro);
     }
     {
       Fig7 fig7(kCtxBudget, /*k=*/3);
-      read_only_run<Fig7, Tl2Fig7>(h, ro_name("tl2", "fig7", k), fig7, k,
+      read_only_run<Fig7, TxnFig7>(h, ro_name("tl2", "fig7", k), fig7, k,
                                    &g_tl2_ro);
     }
     {
       FigBw figbw(kCtxBudget, /*k=*/3);
-      read_only_run<FigBw, Tl2FigBw>(h, ro_name("tl2", "figbw", k), figbw, k,
+      read_only_run<FigBw, TxnFigBw>(h, ro_name("tl2", "figbw", k), figbw, k,
                                      &g_tl2_ro);
     }
     {
@@ -294,7 +295,7 @@ int main(int argc, char** argv) {
     }
     {
       Fig4 fig4;
-      mix_run<Fig4, Tl2Fig4>(h, mix_name("tl2", w), fig4, 4, w, &g_tl2_rw,
+      mix_run<Fig4, TxnFig4>(h, mix_name("tl2", w), fig4, 4, w, &g_tl2_rw,
                              moir::stats::Id::kTl2Abort);
     }
     {

@@ -1,11 +1,11 @@
 // E14 (multi-key transactions): the transaction layer over the sharded
 // map — atomic multi_get snapshots and multi_cas transfers, k in
 // {2,4,8}, on both the Figure 4 CAS-backed and the Figure 7 bounded-tag
-// substrates at 8 threads, plus an ENGINE axis on Figure 4: the default
-// MCAS double-collect engine (src/txn/) against the TL2 versioned-clock
-// engine and the GL-STM global-lock baseline (src/tl2/). bench_tl2 (E18)
-// owns the deep tl2 sweep; the runs here keep the engines comparable
-// inside E14's k-scaling frame.
+// substrates at 8 threads, plus an ENGINE axis on Figure 4: TxnKv
+// (src/txn/) against the GL-STM global-lock baseline (bench/glstm.hpp),
+// with TxnKv's double-collect slow path timed directly as the "mcas"
+// read-path column. bench_tl2 (E18) owns the deep read-path sweep; the
+// runs here keep them comparable inside E14's k-scaling frame.
 //
 // Workloads per (k, substrate/engine):
 //   * read-only: k-key multi_get snapshots over a quiescent store; every
@@ -26,12 +26,11 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/glstm.hpp"
 #include "core/bounded_llsc.hpp"
 #include "core/bw_llsc.hpp"
 #include "core/llsc_traits.hpp"
 #include "reclaim/epoch.hpp"
-#include "tl2/glstm.hpp"
-#include "tl2/tl2_txn.hpp"
 #include "txn/txn_kv.hpp"
 #include "util/rng.hpp"
 
@@ -61,7 +60,7 @@ double mops_of(const std::string& name) {
 // returned).
 constexpr unsigned kCtxBudget = kThreads + 4;
 
-// All three engines share the TxnKv duck-typed interface: ctor(Map&,
+// Every column shares the TxnKv duck-typed interface: ctor(Map&,
 // unsigned), make_ctx, wire/kAbsent, multi_get/multi_put/multi_cas.
 template <class S, class Engine>
 struct Store {
@@ -205,8 +204,7 @@ std::string run_name(const char* mode, const char* fig, unsigned k) {
 }
 
 // Engine-axis runs carry the engine token between mode and substrate:
-// "ro/tl2/fig4/k8/t8". The bare-substrate names stay the mcas engine's,
-// unchanged from the original E14 layout.
+// "ro/glstm/fig4/k8/t8". The bare-substrate names are TxnKv's.
 std::string engine_run_name(const char* mode, const char* engine,
                             unsigned k) {
   return std::string(mode) + "/" + engine + "/fig4/k" + std::to_string(k) +
@@ -222,18 +220,19 @@ int main(int argc, char** argv) {
       "substrate x engine, conservation hard check",
       "MCAS-backed transactions over the sharded map commit atomic k-key "
       "snapshots and transfers on both Figure 4 and Figure 7 substrates; "
-      "the TL2 and GL-STM engines answer the same workloads on Figure 4; "
-      "value checksums are conserved under 8-thread contention");
+      "the double-collect read path and the GL-STM baseline answer the "
+      "same workloads on Figure 4; value checksums are conserved under "
+      "8-thread contention");
 
   using Fig4 = moir::CasBackedLlsc<16>;
-  using Mcas = moir::txn::TxnKv<Fig4, EpochReclaimer>;
-  using Tl2 = moir::tl2::Tl2Kv<Fig4, EpochReclaimer>;
-  using Glstm = moir::tl2::GlstmKv<Fig4, EpochReclaimer>;
+  using Txn = moir::txn::TxnKv<Fig4, EpochReclaimer>;
+  using Mcas = moir::bench::DoubleCollectKv<Txn>;
+  using Glstm = moir::bench::GlstmKv<Fig4, EpochReclaimer>;
 
   for (const unsigned k : {2u, 4u, 8u}) {
     {
       Fig4 fig4;
-      read_only_run<Fig4, Mcas>(h, run_name("ro", "fig4", k), fig4, k);
+      read_only_run<Fig4, Txn>(h, run_name("ro", "fig4", k), fig4, k);
     }
     {
       moir::BoundedLlsc<> fig7(kCtxBudget, /*k=*/3);
@@ -243,7 +242,7 @@ int main(int argc, char** argv) {
     }
     {
       Fig4 fig4;
-      read_write_run<Fig4, Mcas>(h, run_name("rw", "fig4", k), fig4, k);
+      read_write_run<Fig4, Txn>(h, run_name("rw", "fig4", k), fig4, k);
     }
     {
       moir::BoundedLlsc<> fig7(kCtxBudget, /*k=*/3);
@@ -263,15 +262,17 @@ int main(int argc, char** argv) {
                      moir::txn::TxnKv<moir::BwLlsc<>, EpochReclaimer>>(
           h, run_name("rw", "figbw", k), figbw, k);
     }
-    // Engine axis, Figure 4 only: tl2 and glstm against the mcas runs
-    // above (same workload, same substrate, same store geometry).
+    // Engine axis, Figure 4 only: the double-collect read path and glstm
+    // against the TxnKv runs above (same workload, same substrate, same
+    // store geometry).
     {
       Fig4 fig4;
-      read_only_run<Fig4, Tl2>(h, engine_run_name("ro", "tl2", k), fig4, k);
+      read_only_run<Fig4, Mcas>(h, engine_run_name("ro", "mcas", k), fig4, k);
     }
     {
       Fig4 fig4;
-      read_write_run<Fig4, Tl2>(h, engine_run_name("rw", "tl2", k), fig4, k);
+      read_write_run<Fig4, Mcas>(h, engine_run_name("rw", "mcas", k), fig4,
+                                 k);
     }
     {
       Fig4 fig4;
@@ -303,15 +304,15 @@ int main(int argc, char** argv) {
 
   {
     moir::Table t("engine axis on fig4, 8 threads (Mops/s)");
-    t.columns({"k", "ro/mcas", "ro/tl2", "ro/glstm", "rw/mcas", "rw/tl2",
+    t.columns({"k", "ro/txn", "ro/mcas", "ro/glstm", "rw/txn", "rw/mcas",
                "rw/glstm"});
     for (const unsigned k : {2u, 4u, 8u}) {
       t.row({"k" + std::to_string(k),
              moir::Table::num(mops_of(run_name("ro", "fig4", k)), 3),
-             moir::Table::num(mops_of(engine_run_name("ro", "tl2", k)), 3),
+             moir::Table::num(mops_of(engine_run_name("ro", "mcas", k)), 3),
              moir::Table::num(mops_of(engine_run_name("ro", "glstm", k)), 3),
              moir::Table::num(mops_of(run_name("rw", "fig4", k)), 3),
-             moir::Table::num(mops_of(engine_run_name("rw", "tl2", k)), 3),
+             moir::Table::num(mops_of(engine_run_name("rw", "mcas", k)), 3),
              moir::Table::num(mops_of(engine_run_name("rw", "glstm", k)),
                               3)});
     }
@@ -324,14 +325,16 @@ int main(int argc, char** argv) {
   const double rw8 = mops_of(run_name("rw", "fig4", 8));
   h.metric("ro_k8_over_k2_fig4", ro2 > 0 ? ro8 / ro2 : 0.0);
   h.metric("rw_k8_over_k2_fig4", rw2 > 0 ? rw8 / rw2 : 0.0);
-  const double tl2_ro2 = mops_of(engine_run_name("ro", "tl2", 2));
-  const double tl2_ro8 = mops_of(engine_run_name("ro", "tl2", 8));
-  h.metric("ro_k8_over_k2_fig4_tl2", tl2_ro2 > 0 ? tl2_ro8 / tl2_ro2 : 0.0);
+  const double mcas_ro2 = mops_of(engine_run_name("ro", "mcas", 2));
+  const double mcas_ro8 = mops_of(engine_run_name("ro", "mcas", 8));
+  h.metric("ro_k8_over_k2_fig4_mcas",
+           mcas_ro2 > 0 ? mcas_ro8 / mcas_ro2 : 0.0);
   h.metric("integrity_failures",
            static_cast<double>(g_integrity_failures.load()));
-  h.printf("snapshot scaling k8/k2 (fig4): ro %.2fx, rw %.2fx, tl2 ro %.2fx\n",
-           ro2 > 0 ? ro8 / ro2 : 0.0, rw2 > 0 ? rw8 / rw2 : 0.0,
-           tl2_ro2 > 0 ? tl2_ro8 / tl2_ro2 : 0.0);
+  h.printf(
+      "snapshot scaling k8/k2 (fig4): ro %.2fx, rw %.2fx, mcas ro %.2fx\n",
+      ro2 > 0 ? ro8 / ro2 : 0.0, rw2 > 0 ? rw8 / rw2 : 0.0,
+      mcas_ro2 > 0 ? mcas_ro8 / mcas_ro2 : 0.0);
   h.printf("integrity: %llu failures (conservation + snapshot checks)\n",
            static_cast<unsigned long long>(g_integrity_failures.load()));
 

@@ -1,9 +1,8 @@
 // Minimal KV service session: four client threads drive mixed traffic
 // through the full wait-free pipeline (SPSC ring -> router -> LL/SC
 // MS-queues -> batching executors -> sharded map), then the tail latency
-// comes out of the stats layer's svc_latency histogram. Part 2 runs the
-// same teller workload on both transaction engines (mcas and tl2)
-// back-to-back and insists the books balance under each.
+// comes out of the stats layer's svc_latency histogram. Part 2 runs a
+// teller workload in transaction mode and insists the books balance.
 //
 // Build & run:  cmake --build build --target kv_service && ./build/examples/kv_service
 #include <cstdio>
@@ -23,10 +22,10 @@ using moir::svc::Op;
 using moir::svc::Status;
 
 // Part 2 body: four tellers make atomic two-key transfers between eight
-// accounts via kMultiCas on the given transaction engine; the global
-// balance is checked with one atomic 8-key snapshot per teller pass and
-// the final sum must come out exactly conserved — for BOTH engines.
-void run_teller_bank(const char* label, moir::svc::TxnEngine engine) {
+// accounts via kMultiCas; the global balance is checked with one atomic
+// 8-key snapshot per teller pass and the final sum must come out exactly
+// conserved.
+void run_teller_bank() {
   constexpr unsigned kClients = 4;
   constexpr std::uint64_t kAccounts = 8;
   constexpr std::uint64_t kBalance = 1000;
@@ -37,7 +36,6 @@ void run_teller_bank(const char* label, moir::svc::TxnEngine engine) {
                        .batch = 16,
                        .max_sessions = 4,
                        .txn = true,
-                       .txn_engine = engine,
                        .map = {.shards = 2, .buckets_per_shard = 32,
                                .capacity_per_shard = 512}});
   {
@@ -58,7 +56,7 @@ void run_teller_bank(const char* label, moir::svc::TxnEngine engine) {
 
   std::vector<std::thread> tellers;
   for (unsigned t = 0; t < kClients; ++t) {
-    tellers.emplace_back([&bank, t, label] {
+    tellers.emplace_back([&bank, t] {
       auto c = bank.connect();
       moir::Xoshiro256 rng(0xba2d5eedULL + t);
       std::uint64_t commits = 0, retries = 0;
@@ -89,15 +87,14 @@ void run_teller_bank(const char* label, moir::svc::TxnEngine engine) {
           std::uint64_t sum = 0;
           for (const std::uint64_t cell : out) sum += cell - 1;
           if (sum != kAccounts * kBalance) {
-            std::printf("[%s] teller %u: CONSERVATION VIOLATED (%llu)\n",
-                        label, t, static_cast<unsigned long long>(sum));
+            std::printf("teller %u: CONSERVATION VIOLATED (%llu)\n", t,
+                        static_cast<unsigned long long>(sum));
             std::exit(1);
           }
         }
       }
-      std::printf("[%s] teller %u: %llu transfers committed, %llu lost "
-                  "races\n",
-                  label, t, static_cast<unsigned long long>(commits),
+      std::printf("teller %u: %llu transfers committed, %llu lost races\n",
+                  t, static_cast<unsigned long long>(commits),
                   static_cast<unsigned long long>(retries));
     });
   }
@@ -113,7 +110,7 @@ void run_teller_bank(const char* label, moir::svc::TxnEngine engine) {
       bank.wait(c, *tk, out);
       for (const std::uint64_t cell : out) sum += cell - 1;
     }
-    std::printf("[%s] final balance: %llu (expected %llu) — %s\n", label,
+    std::printf("final balance: %llu (expected %llu) — %s\n",
                 static_cast<unsigned long long>(sum),
                 static_cast<unsigned long long>(kAccounts * kBalance),
                 sum == kAccounts * kBalance ? "conserved" : "VIOLATED");
@@ -175,11 +172,8 @@ int main() {
               lat.percentile(0.50) / 1e3, lat.percentile(0.99) / 1e3,
               static_cast<double>(lat.max()) / 1e3);
 
-  // ----- Part 2: multi-key transactions (txn mode), both engines -----------
-  // The identical teller workload on the MCAS double-collect engine and
-  // the TL2 versioned-clock engine; each run exits nonzero unless the
-  // final 8-account balance is exactly 8000.
-  run_teller_bank("mcas", moir::svc::TxnEngine::kMcas);
-  run_teller_bank("tl2", moir::svc::TxnEngine::kTl2);
+  // ----- Part 2: multi-key transactions (txn mode) --------------------------
+  // Exits nonzero unless the final 8-account balance is exactly 8000.
+  run_teller_bank();
   return 0;
 }

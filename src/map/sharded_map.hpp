@@ -180,8 +180,8 @@ class ShardedHashMap {
   // locate_handle exactly; the single enter/exit amortizes the guard's
   // fences across the batch. The bracket protects only the searches —
   // returned handles outlive it under the txn layers' insert-only
-  // discipline, exactly as for locate_handle. The tl2 engine's snapshot
-  // reads (src/tl2/) call this once per validation attempt.
+  // discipline, exactly as for locate_handle. TxnKv's snapshot reads
+  // (src/txn/) call this once per validation attempt.
   static constexpr std::uint32_t kNoHandle = ~std::uint32_t{0};
   void locate_handles(ThreadCtx& ctx, std::span<const std::uint64_t> keys,
                       std::uint32_t* out) {

@@ -115,6 +115,12 @@ class Stm {
                       "transaction data set must be sorted and unique");
     }
     MOIR_ASSERT(addrs.back() < cells_.size());
+    // Stamping mode: the write-back raises each changed cell's stamp
+    // behind a locked CAS, which serializes their cache misses; start
+    // them now so they overlap the acquire phase.
+    if (stamps_ != nullptr) {
+      for (const std::uint32_t a : addrs) __builtin_prefetch(&stamps_[a], 1);
+    }
 
     Descriptor& d = *desc_[ctx.pid];
     // Turn away new helpers, then wait for registered ones to drain.
@@ -219,7 +225,7 @@ class Stm {
     return false;
   }
 
-  // TL2 layering hook (src/tl2/): when enabled, every committed
+  // TL2 layering hook (TxnKv, src/txn/): when enabled, every committed
   // transaction that CHANGES at least one cell value claims one fresh
   // value from the global version clock (fetch-add, after the commit
   // status CAS, before any write-back) and raises each changed cell's
@@ -235,7 +241,7 @@ class Stm {
   // neither the clock nor the stamps, so failed writers never disturb
   // readers. Call before any concurrent use; `stamps` must have one
   // slot per cell, zero-initialized. Raw pointers keep this module free
-  // of any dependency on src/tl2/.
+  // of any dependency on src/txn/.
   void enable_version_stamps(std::atomic<std::uint64_t>* clock,
                              std::atomic<std::uint64_t>* stamps) {
     clock_ = clock;

@@ -85,8 +85,8 @@ enum class Id : std::uint8_t {
   kTxnStart,      // multi-key transaction begun (src/txn/)
   kTxnCommit,     // multi-key transaction applied (incl. validated multi-get)
   kTxnAbort,      // multi-key CAS committed with a comparison mismatch
-  kTxnHelp,       // txn read path helped a locked cell's owner to completion
-  kTxnRevalidate, // multi-get double-collect retried (tag/handle changed)
+  kTxnHelp,       // double-collect fallback helped a locked cell's owner
+  kTxnRevalidate, // double-collect fallback retried (tag/handle changed)
   kBwAnnounce,    // Blelloch–Wei LL published a descriptor announcement
   kBwHelp,        // BW LL/read retry round absorbed a concurrent SC's install
   kBwAllocReuse,  // BW scan harvested an unannounced retired descriptor
@@ -100,10 +100,10 @@ enum class Id : std::uint8_t {
   kFeedOverrun,   // subscriber cursor lapped by the writer (slot recycled)
   kFeedResync,    // subscriber recovered from an overrun via a map read
   kTl2ClockAdvance, // global version clock drawn for a value-changing commit
-  kTl2RoCommit,   // tl2 multi_get committed via the invisible-reader path
-  kTl2Abort,      // tl2 multi_cas comparison failed (rw abort, on top of txn_*)
-  kTl2Revalidate, // tl2 read-set validation failed (locked cell or stamp > rv)
-  kTl2Fallback,   // tl2 multi_get exhausted retries, fell back to double-collect
+  kTl2RoCommit,   // multi_get committed via the invisible-reader path
+  kTl2Abort,      // multi_cas comparison failed (rw abort, on top of txn_*)
+  kTl2Revalidate, // invisible read failed validation (locked or stamp > rv)
+  kTl2Fallback,   // multi_get exhausted retries, fell back to double-collect
   kNumIds
 };
 

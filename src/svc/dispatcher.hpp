@@ -65,6 +65,8 @@ enum class Status : std::uint8_t {
   kOverload,  // completed WITH an error before reaching the map: shard
               // queue full at the router, or a txn key's node pool
               // exhausted (either way the request had no effect — EBUSY)
+  kInvalid,   // malformed txn payload (a value past TxnKv::kMaxValue, a key
+              // named twice in one kMulti*): no effect, do not retry
 };
 
 // Keys per multi-key transaction request (mirrors txn::TxnKv::kMaxTxnKeys

@@ -53,22 +53,11 @@
 #include "stats/stats.hpp"
 #include "svc/dispatcher.hpp"
 #include "svc/spsc_ring.hpp"
-#include "tl2/glstm.hpp"
-#include "tl2/tl2_txn.hpp"
 #include "txn/txn_kv.hpp"
 #include "util/assertion.hpp"
 #include "util/stopwatch.hpp"
 
 namespace moir::svc {
-
-// Which transaction engine backs txn mode (Config::txn). All three sit
-// behind the same verb interface, so kMultiGet/kMultiPut/kMultiCas ride
-// the ticket pipeline unchanged:
-//   kMcas  — TxnKv: MCAS writes, double-collect reads (the default);
-//   kTl2   — Tl2Kv: same MCAS writes with version stamping, invisible-
-//            reader multi_get against the global version clock;
-//   kGlstm — GlstmKv: global-lock baseline (blocking; bench comparison).
-enum class TxnEngine : std::uint8_t { kMcas, kTl2, kGlstm };
 
 // RingCap: per-session SPSC ring capacity (compile-time power of two).
 // FeedRingCap: per-shard broadcast-ring capacity in feed mode (tiny in the
@@ -80,16 +69,11 @@ class KvService {
   using Map = ShardedHashMap<S, R>;
   using Disp = Dispatcher<S, R>;
   using Txn = txn::TxnKv<S, R>;
-  using Tl2 = tl2::Tl2Kv<S, R>;
-  using Glstm = tl2::GlstmKv<S, R>;
   using Ring = SpscRing<RingCap>;
   using Feed = feed::ChangeFeed<FeedRingCap>;
 
   static_assert(kMaxTxnKeys == Txn::kMaxTxnKeys,
                 "dispatcher slot arrays must fit a full transaction");
-  static_assert(kMaxTxnKeys == Tl2::kMaxTxnKeys &&
-                    kMaxTxnKeys == Glstm::kMaxTxnKeys,
-                "every engine shares the dispatcher's transaction width");
 
   struct Config {
     unsigned queues = 4;                 // dispatch shards
@@ -118,10 +102,6 @@ class KvService {
     // accepted. Single-key semantics are unchanged; off (the default)
     // keeps the plain map path and rejects multi-key submits.
     bool txn = false;
-    // Which engine executes txn-mode verbs (meaningful only with txn
-    // set). See TxnEngine; every engine shares the verb interface and
-    // wire form, so clients cannot tell them apart except by timing.
-    TxnEngine txn_engine = TxnEngine::kMcas;
     // Change-feed mode: every committed write is broadcast on the key's
     // shard ring and the kSubscribe/kUnsubscribe/kPoll verbs are accepted
     // (src/feed/feed.hpp). Feed mode serializes each dispatch queue's
@@ -181,12 +161,9 @@ class KvService {
     typename Map::ThreadCtx mctx;
     std::vector<std::uint64_t> buf;  // batch buffer, cfg.batch entries
     unsigned rotor = 0;              // round-robin start shard
-    // Txn mode only: the ACTIVE engine's context (its embedded map ctx
-    // is a second reclaimer lease, hence the doubled worker term below;
-    // exactly one of the three is non-null, per Config::txn_engine).
+    // Txn mode only: the txn store's context (its embedded map ctx is a
+    // second reclaimer lease, hence the doubled worker term below).
     std::unique_ptr<typename Txn::ThreadCtx> tctx;
-    std::unique_ptr<typename Tl2::ThreadCtx> t2ctx;
-    std::unique_ptr<typename Glstm::ThreadCtx> gctx;
   };
 
   explicit KvService(S& substrate, Config cfg = {})
@@ -211,19 +188,7 @@ class KvService {
     MOIR_ASSERT_MSG(!(cfg_.feed && cfg_.txn),
                     "feed mode broadcasts plain-map commits; txn values "
                     "live in Mcas cells the feed hook cannot see");
-    if (cfg_.txn) {
-      switch (cfg_.txn_engine) {
-        case TxnEngine::kMcas:
-          txn_ = std::make_unique<Txn>(map_, max_threads_);
-          break;
-        case TxnEngine::kTl2:
-          tl2_ = std::make_unique<Tl2>(map_, max_threads_);
-          break;
-        case TxnEngine::kGlstm:
-          glstm_ = std::make_unique<Glstm>(map_, max_threads_);
-          break;
-      }
-    }
+    if (cfg_.txn) txn_ = std::make_unique<Txn>(map_, max_threads_);
     if (cfg_.feed) {
       feed_ = std::make_unique<Feed>(cfg_.queues, cfg_.feed_max_subscribers);
       queue_claims_ =
@@ -467,23 +432,9 @@ class KvService {
 
   WorkerCtx make_worker_ctx() {
     WorkerCtx w{disp_.make_ctx(), map_.make_ctx(),
-                std::vector<std::uint64_t>(cfg_.batch), 0, nullptr, nullptr,
-                nullptr};
+                std::vector<std::uint64_t>(cfg_.batch), 0, nullptr};
     if (cfg_.txn) {
-      switch (cfg_.txn_engine) {
-        case TxnEngine::kMcas:
-          w.tctx =
-              std::make_unique<typename Txn::ThreadCtx>(txn_->make_ctx());
-          break;
-        case TxnEngine::kTl2:
-          w.t2ctx =
-              std::make_unique<typename Tl2::ThreadCtx>(tl2_->make_ctx());
-          break;
-        case TxnEngine::kGlstm:
-          w.gctx =
-              std::make_unique<typename Glstm::ThreadCtx>(glstm_->make_ctx());
-          break;
-      }
+      w.tctx = std::make_unique<typename Txn::ThreadCtx>(txn_->make_ctx());
     }
     return w;
   }
@@ -593,22 +544,10 @@ class KvService {
   typename Map::ThreadCtx make_map_ctx() { return map_.make_ctx(); }
 
   Txn& txn() {
-    MOIR_ASSERT(cfg_.txn && cfg_.txn_engine == TxnEngine::kMcas);
+    MOIR_ASSERT(cfg_.txn);
     return *txn_;
   }
   typename Txn::ThreadCtx make_txn_ctx() { return txn().make_ctx(); }
-
-  Tl2& tl2() {
-    MOIR_ASSERT(cfg_.txn && cfg_.txn_engine == TxnEngine::kTl2);
-    return *tl2_;
-  }
-  typename Tl2::ThreadCtx make_tl2_ctx() { return tl2().make_ctx(); }
-
-  Glstm& glstm() {
-    MOIR_ASSERT(cfg_.txn && cfg_.txn_engine == TxnEngine::kGlstm);
-    return *glstm_;
-  }
-  typename Glstm::ThreadCtx make_glstm_ctx() { return glstm().make_ctx(); }
 
   // Feed-mode introspection and the direct-subscriber path: bench/example
   // threads may subscribe and poll the ChangeFeed in-process (each such
@@ -690,7 +629,8 @@ class KvService {
   // Map a txn-layer status onto the wire Status. kNoSpace (node pool
   // exhausted before any cell was written) is an EBUSY-class outcome: the
   // request completed WITH an error and had no effect, same contract as a
-  // router-side shed.
+  // router-side shed. kInvalid also had no effect, but retrying the same
+  // payload cannot succeed.
   static Status to_status(txn::TxnStatus s) {
     switch (s) {
       case txn::TxnStatus::kOk:
@@ -699,6 +639,8 @@ class KvService {
         return Status::kNotFound;
       case txn::TxnStatus::kNoSpace:
         return Status::kOverload;
+      case txn::TxnStatus::kInvalid:
+        return Status::kInvalid;
     }
     return Status::kOverload;
   }
@@ -709,17 +651,7 @@ class KvService {
     TicketSlot& ts = ss.slots[handle_slot(handle)];
     Response r;
     if (cfg_.txn) {
-      switch (cfg_.txn_engine) {
-        case TxnEngine::kMcas:
-          execute_txn(*txn_, *w.tctx, ts, r);
-          break;
-        case TxnEngine::kTl2:
-          execute_txn(*tl2_, *w.t2ctx, ts, r);
-          break;
-        case TxnEngine::kGlstm:
-          execute_txn(*glstm_, *w.gctx, ts, r);
-          break;
-      }
+      execute_txn(*w.tctx, ts, r);
       complete(ts, r, handle, obs);
       return;
     }
@@ -862,41 +794,38 @@ class KvService {
   }
 
   // Txn-mode execution: single-key verbs keep their map semantics but run
-  // through the txn layer (the engine's cells are the authoritative
-  // store); multi-key ops are the atomic transactions. Templated over the
-  // engine — TxnKv, Tl2Kv, and GlstmKv are duck-type identical here, so
-  // one body serves all three of Config::txn_engine's choices.
-  template <class Engine>
-  void execute_txn(Engine& eng, typename Engine::ThreadCtx& tctx,
-                   TicketSlot& ts, Response& r) {
+  // through the txn layer (its cells are the authoritative store);
+  // multi-key ops are the atomic transactions.
+  void execute_txn(typename Txn::ThreadCtx& tctx, TicketSlot& ts,
+                   Response& r) {
     switch (ts.op) {
       case Op::kFind: {
-        const auto v = eng.get(tctx, ts.key);
+        const auto v = txn_->get(tctx, ts.key);
         r.status = v ? Status::kOk : Status::kNotFound;
         r.value = v.value_or(0);
         break;
       }
       case Op::kInsert:
-        r.status = to_status(eng.insert(tctx, ts.key, ts.value));
+        r.status = to_status(txn_->insert(tctx, ts.key, ts.value));
         break;
       case Op::kUpsert:
-        r.status = to_status(eng.upsert(tctx, ts.key, ts.value));
+        r.status = to_status(txn_->upsert(tctx, ts.key, ts.value));
         break;
       case Op::kErase:
         r.status =
-            eng.erase(tctx, ts.key) ? Status::kOk : Status::kNotFound;
+            txn_->erase(tctx, ts.key) ? Status::kOk : Status::kNotFound;
         break;
       case Op::kMultiGet:
-        eng.multi_get(tctx, std::span(ts.keys, ts.nkeys),
-                      std::span(ts.resp_values, ts.nkeys));
+        txn_->multi_get(tctx, std::span(ts.keys, ts.nkeys),
+                        std::span(ts.resp_values, ts.nkeys));
         r.status = Status::kOk;
         break;
       case Op::kMultiPut:
-        r.status = to_status(eng.multi_put(
+        r.status = to_status(txn_->multi_put(
             tctx, std::span(ts.keys, ts.nkeys), std::span(ts.args, ts.nkeys)));
         break;
       case Op::kMultiCas:
-        r.status = to_status(eng.multi_cas(
+        r.status = to_status(txn_->multi_cas(
             tctx, std::span(ts.keys, ts.nkeys), std::span(ts.exps, ts.nkeys),
             std::span(ts.args, ts.nkeys), std::span(ts.resp_values, ts.nkeys)));
         break;
@@ -1065,12 +994,10 @@ class KvService {
   // disp_/map_.
   Disp disp_;
   Map map_;
-  // Declared after map_ (hence destroyed first): the engines hold Map&
-  // plus their cell stores; per-worker ctxs die with the worker threads.
-  // At most one is non-null, per Config::txn_engine.
+  // Txn mode only. Declared after map_ (hence destroyed first): the txn
+  // store holds Map& plus its cells; per-worker ctxs die with the worker
+  // threads.
   std::unique_ptr<Txn> txn_;
-  std::unique_ptr<Tl2> tl2_;
-  std::unique_ptr<Glstm> glstm_;
   // Feed mode only (both null otherwise). The claims serialize queue
   // execution so each broadcast ring keeps a single writer; see pump().
   std::unique_ptr<Feed> feed_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -85,10 +86,14 @@ TEST(LlscFromRllRsc, ConcurrentSequencesOneProcessor) {
   EXPECT_EQ(y.read(), 20u);
 }
 
+// gtest names each case after the param's raw bytes, so the struct must
+// have no padding: a 4-byte `threads` left 4 uninitialised bytes that
+// changed the test name from run to run.
 struct StressParam {
-  int threads;
+  std::int64_t threads;
   double spurious;
 };
+static_assert(sizeof(StressParam) == 16);
 
 class LlscFromRllRscStress
     : public ::testing::TestWithParam<StressParam> {};

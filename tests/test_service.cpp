@@ -1,14 +1,15 @@
 // KvService pipeline: end-to-end round trips through the full
 // ring -> router -> shard-queue -> executor path, shed-on-full admission
-// (window, ring, and queue-pool exhaustion), graceful drain, and
-// linearizability of the whole pipeline against SvcSpec under both DFS
-// and PCT controlled schedules.
+// (window, ring, and queue-pool exhaustion), graceful drain, kInvalid
+// completion of malformed txn payloads, and linearizability of the whole
+// pipeline against SvcSpec under both DFS and PCT controlled schedules.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/llsc_traits.hpp"
@@ -412,6 +413,119 @@ TEST(KvService, StopShedsAndCountsDrain) {
     EXPECT_EQ(d[stats::Id::kSvcDrain], 3u);
     EXPECT_GE(d[stats::Id::kSvcShed], 1u);
   }
+}
+
+// ---------------------------------------------------------------------
+// Malformed txn payloads. submit/submit_multi admit a request without
+// inspecting its values or its key set, so the executor must refuse what
+// the txn layer cannot apply: each such request completes kInvalid with
+// no effect, and the service keeps serving the requests behind it.
+// ---------------------------------------------------------------------
+using Txn = Svc::Txn;
+
+// A txn-mode service pumped by the test itself, one client.
+struct ManualTxnService {
+  Sub sub;
+  Svc svc{sub, {.queues = 2,
+                .workers = 0,
+                .max_sessions = 1,
+                .tickets_per_session = 4,
+                .use_rings = false,
+                .txn = true,
+                .map = {.shards = 2, .buckets_per_shard = 4,
+                        .capacity_per_shard = 32}}};
+  Svc::ClientCtx c = svc.connect();
+  Svc::WorkerCtx w = svc.make_worker_ctx();
+
+  // Executes an admitted request and consumes its completion.
+  svc::Response finish(const std::optional<Svc::Ticket>& t,
+                       std::span<std::uint64_t> values_out = {}) {
+    if (!t.has_value()) {
+      ADD_FAILURE() << "request shed at admission";
+      return {Status::kOverload, 0};
+    }
+    while (svc.pump(w) == 0) {
+    }
+    return *svc.poll(c, *t, values_out);
+  }
+};
+
+TEST(KvServiceTxn, OversizedValueCompletesInvalid) {
+  ManualTxnService s;
+  constexpr std::uint64_t kTooBig = Txn::kMaxValue + 1;
+  EXPECT_EQ(s.finish(s.svc.submit(s.c, Op::kUpsert, 5, kTooBig)).status,
+            Status::kInvalid);
+  EXPECT_EQ(s.finish(s.svc.submit(s.c, Op::kInsert, 5, kTooBig)).status,
+            Status::kInvalid);
+  const std::uint64_t keys[] = {5, 6};
+  const std::uint64_t vals[] = {1, kTooBig};
+  EXPECT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiPut, keys, vals)).status,
+      Status::kInvalid);
+  const std::uint64_t absent[] = {Txn::kAbsent, Txn::kAbsent};
+  const std::uint64_t des[] = {Txn::wire(1), Txn::wire(kTooBig)};
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiCas, keys, des,
+                                        absent))
+                .status,
+            Status::kInvalid);
+
+  // Nothing was written, and the largest legal value still goes through.
+  std::uint64_t got[2];
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiGet, keys), got).status,
+            Status::kOk);
+  EXPECT_EQ(got[0], Txn::kAbsent);
+  EXPECT_EQ(got[1], Txn::kAbsent);
+  EXPECT_EQ(
+      s.finish(s.svc.submit(s.c, Op::kUpsert, 5, Txn::kMaxValue)).status,
+      Status::kOk);
+  const auto hit = s.finish(s.svc.submit(s.c, Op::kFind, 5));
+  EXPECT_EQ(hit.status, Status::kOk);
+  EXPECT_EQ(hit.value, Txn::kMaxValue);
+}
+
+TEST(KvServiceTxn, DuplicateKeysCompleteInvalid) {
+  ManualTxnService s;
+  const std::uint64_t keys[] = {3, 4};
+  const std::uint64_t vals[] = {30, 40};
+  ASSERT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiPut, keys, vals)).status,
+      Status::kOk);
+
+  // The repeat need not be adjacent in user order, and may name a key
+  // that has no node yet.
+  const std::uint64_t dup[] = {3, 4, 3};
+  const std::uint64_t dup_vals[] = {1, 2, 3};
+  EXPECT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiPut, dup, dup_vals)).status,
+      Status::kInvalid);
+  const std::uint64_t exps[] = {Txn::wire(30), Txn::wire(40), Txn::wire(30)};
+  const std::uint64_t dess[] = {Txn::wire(31), Txn::wire(40), Txn::wire(29)};
+  EXPECT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiCas, dup, dess, exps)).status,
+      Status::kInvalid);
+  const std::uint64_t fresh_dup[] = {9, 9};
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiPut, fresh_dup,
+                                        std::span(vals)))
+                .status,
+            Status::kInvalid);
+
+  // No effect, and the service keeps serving.
+  const std::uint64_t all[] = {3, 4, 9};
+  std::uint64_t got[3];
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiGet, all), got).status,
+            Status::kOk);
+  EXPECT_EQ(got[0], Txn::wire(30));
+  EXPECT_EQ(got[1], Txn::wire(40));
+  EXPECT_EQ(got[2], Txn::kAbsent);
+  const std::uint64_t swap[] = {Txn::wire(40), Txn::wire(30)};
+  std::uint64_t wit[2];
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiCas, keys, swap,
+                                        std::span(got, 2)),
+                     wit)
+                .status,
+            Status::kOk);
+  EXPECT_EQ(wit[0], Txn::wire(30));
+  EXPECT_EQ(wit[1], Txn::wire(40));
 }
 
 // ---------------------------------------------------------------------

@@ -1,26 +1,24 @@
-// TL2 engine (src/tl2/): Tl2Kv semantics for single- and multi-key
-// verbs, tl2_* counter accounting, the 2^32 clock-boundary crossing,
-// GL-STM baseline semantics, the tl2-mode KvService round trip and PCT
-// pipeline check, DFS/PCT linearizability against TxnSpec, the planted
-// SkipRevalidate negative control (both explorers must catch it with a
-// replayable ms1: schedule), and transfer-torture conservation for both
-// new engines.
+// TxnKv's TL2 machinery (src/txn/): the key->handle memo under the
+// single-key verbs, invisible-reader multi_get semantics, tl2_* counter
+// accounting on the engine and through the KvService pipeline, the 2^32
+// clock-boundary crossing, GL-STM baseline semantics (bench/glstm.hpp),
+// DFS linearizability against TxnSpec, the planted SkipRevalidate
+// negative control (both explorers must catch it with a replayable ms1:
+// schedule), and transfer-torture conservation for TxnKv and GL-STM.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
+#include <span>
 
+#include "bench/glstm.hpp"
 #include "core/llsc_traits.hpp"
 #include "reclaim/epoch.hpp"
 #include "sim/explore.hpp"
 #include "stats/stats.hpp"
 #include "svc/service.hpp"
-#include "tl2/glstm.hpp"
-#include "tl2/tl2_txn.hpp"
 #include "txn/txn_kv.hpp"
 #include "util/env.hpp"
 #include "util/thread_utils.hpp"
@@ -36,9 +34,8 @@ using txn::TxnStatus;
 using Sub = CasBackedLlsc<16>;
 using Map = ShardedHashMap<Sub, EpochReclaimer>;
 using Txn = txn::TxnKv<Sub, EpochReclaimer>;
-using Tl2 = tl2::Tl2Kv<Sub, EpochReclaimer>;
-using Tl2Bug = tl2::Tl2Kv<Sub, EpochReclaimer, /*SkipRevalidate=*/true>;
-using Glstm = tl2::GlstmKv<Sub, EpochReclaimer>;
+using TxnBug = txn::TxnKv<Sub, EpochReclaimer, /*SkipRevalidate=*/true>;
+using Glstm = bench::GlstmKv<Sub, EpochReclaimer>;
 using Svc = svc::KvService<Sub, EpochReclaimer>;
 using svc::Op;
 using svc::Status;
@@ -61,9 +58,9 @@ Map::Config small_map() {
 }
 
 // ---------------------------------------------------------------------
-// Engine semantics: Tl2Kv and GlstmKv must be behaviorally identical to
-// TxnKv for every verb — the engines differ only in how reads validate.
-// One templated body exercises all three.
+// Engine semantics: GlstmKv must be behaviorally identical to TxnKv for
+// every verb — they differ only in how reads are made atomic. One
+// templated body exercises both.
 // ---------------------------------------------------------------------
 template <class Engine>
 void run_single_key_verbs() {
@@ -130,13 +127,51 @@ void run_multi_key_verbs() {
   EXPECT_FALSE(txn.get(ctx, 5).has_value());
 }
 
-TEST(Tl2Kv, SingleKeyVerbs) { run_single_key_verbs<Tl2>(); }
-TEST(Tl2Kv, MultiGetPutCas) { run_multi_key_verbs<Tl2>(); }
+// The single-key verbs through the key->handle memo. Two contexts take
+// turns, so a context's warm memo entry must see the OTHER context's
+// erase and re-insert (the handle is stable, only the cell changes), a
+// key first seen absent must be found once the other context creates it
+// (absent results are never cached), and keys one memo stride apart
+// evict each other from their shared direct-mapped slot without ever
+// reading through each other's handle.
+TEST(Tl2Kv, SingleKeyVerbs) {
+  Sub sub;
+  Map map(sub, 4, small_map());
+  Txn txn(map, 4);
+  auto a = txn.make_ctx();
+  auto b = txn.make_ctx();
+
+  EXPECT_FALSE(txn.get(a, 7).has_value());
+  EXPECT_EQ(txn.insert(b, 7, 100), TxnStatus::kOk);
+  EXPECT_EQ(txn.get(a, 7), std::optional<std::uint64_t>{100});
+  EXPECT_EQ(txn.insert(a, 7, 200), TxnStatus::kMiss);
+  EXPECT_EQ(txn.upsert(b, 7, 300), TxnStatus::kMiss);
+  EXPECT_EQ(txn.get(a, 7), std::optional<std::uint64_t>{300});
+  EXPECT_TRUE(txn.erase(b, 7));
+  EXPECT_FALSE(txn.get(a, 7).has_value()) << "warm memo, erased cell";
+  EXPECT_FALSE(txn.erase(a, 7));
+  EXPECT_EQ(txn.insert(b, 7, 42), TxnStatus::kOk);
+  EXPECT_EQ(txn.get(a, 7), std::optional<std::uint64_t>{42});
+  EXPECT_EQ(txn.upsert(a, 8, 1), TxnStatus::kOk);
+  EXPECT_EQ(txn.get(b, 8), std::optional<std::uint64_t>{1});
+
+  constexpr std::uint64_t kAlias = 7 + Txn::ThreadCtx::kMemoSlots;
+  EXPECT_EQ(txn.upsert(b, kAlias, 9), TxnStatus::kOk);
+  EXPECT_EQ(txn.get(a, kAlias), std::optional<std::uint64_t>{9});
+  EXPECT_EQ(txn.get(a, 7), std::optional<std::uint64_t>{42});
+  EXPECT_TRUE(txn.erase(a, kAlias));
+  EXPECT_EQ(txn.get(b, 7), std::optional<std::uint64_t>{42});
+  EXPECT_FALSE(txn.get(b, kAlias).has_value());
+}
+
+TEST(Tl2Kv, MultiGetPutCas) { run_multi_key_verbs<Txn>(); }
 TEST(GlstmKv, SingleKeyVerbs) { run_single_key_verbs<Glstm>(); }
 TEST(GlstmKv, MultiGetPutCas) { run_multi_key_verbs<Glstm>(); }
 
-// Every engine serves the widened read set (kMaxGetKeys = 16 > the MCAS
-// word budget) — the E18 k-sweep's widest point.
+// Both TxnKv read paths (the double-collect through
+// bench::DoubleCollectKv) and GL-STM serve the widened read set
+// (kMaxGetKeys = 16 > the MCAS word budget) — the E18 k-sweep's widest
+// point.
 template <class Engine>
 void run_wide_read() {
   Sub sub;
@@ -161,8 +196,10 @@ void run_wide_read() {
   for (unsigned i = 0; i < 16; ++i) EXPECT_EQ(out[i], Engine::wire(i));
 }
 
-TEST(Tl2Kv, WideReadSixteenKeys) { run_wide_read<Tl2>(); }
-TEST(TxnKv, WideReadSixteenKeys) { run_wide_read<Txn>(); }
+TEST(Tl2Kv, WideReadSixteenKeys) { run_wide_read<Txn>(); }
+TEST(TxnKv, WideReadSixteenKeys) {
+  run_wide_read<bench::DoubleCollectKv<Txn>>();
+}
 TEST(GlstmKv, WideReadSixteenKeys) { run_wide_read<Glstm>(); }
 
 // ---------------------------------------------------------------------
@@ -174,7 +211,7 @@ TEST(Tl2Kv, CountersAccount) {
   CountingScope counting;
   Sub sub;
   Map map(sub, 4, small_map());
-  Tl2 txn(map, 4);
+  Txn txn(map, 4);
   auto ctx = txn.make_ctx();
   const auto before = stats::snapshot();
 
@@ -207,7 +244,7 @@ TEST(Tl2Kv, UnchangedWritesLeaveClockAlone) {
   CountingScope counting;
   Sub sub;
   Map map(sub, 4, small_map());
-  Tl2 txn(map, 4);
+  Txn txn(map, 4);
   auto ctx = txn.make_ctx();
   const std::uint64_t keys[] = {1, 2};
   const std::uint64_t vals[] = {10, 20};
@@ -233,7 +270,7 @@ TEST(Tl2Kv, UnchangedWritesLeaveClockAlone) {
 TEST(Tl2Clock, NearOverflowCrossingStaysMonotone) {
   Sub sub;
   Map map(sub, 4, small_map());
-  Tl2 txn(map, 4);
+  Txn txn(map, 4);
   auto ctx = txn.make_ctx();
 
   const std::uint64_t kBoundary = std::uint64_t{1} << 32;
@@ -246,8 +283,8 @@ TEST(Tl2Clock, NearOverflowCrossingStaysMonotone) {
     ASSERT_EQ(txn.multi_put(ctx, keys, vals), TxnStatus::kOk);
     std::uint64_t out[2];
     txn.multi_get(ctx, keys, out);
-    EXPECT_EQ(out[0], Tl2::wire(round));
-    EXPECT_EQ(out[1], Tl2::wire(round + 100));
+    EXPECT_EQ(out[0], Txn::wire(round));
+    EXPECT_EQ(out[1], Txn::wire(round + 100));
     const auto h = map.locate_handle(ctx.map, 1);
     ASSERT_TRUE(h.has_value());
     const std::uint64_t s = txn.stamp(*h);
@@ -261,75 +298,70 @@ TEST(Tl2Clock, NearOverflowCrossingStaysMonotone) {
 }
 
 // ---------------------------------------------------------------------
-// Service round trip in tl2 and glstm modes: the same verbs, tickets,
-// and response vectors as mcas mode (KvServiceTxn.MultiOpRoundTrip).
+// The same accounting through the txn-mode KvService pipeline: a
+// kMultiGet commits on the invisible-reader path, a value-changing
+// kMultiCas draws one clock value, and a kMultiCas whose comparison
+// misses draws none and reads nothing invisibly.
 // ---------------------------------------------------------------------
-void run_service_round_trip(svc::TxnEngine engine) {
+TEST(KvServiceTxn, PipelineCountsTl2Reads) {
+  CountingScope counting;
   Sub sub;
   Svc svc(sub, {.queues = 2,
-                .workers = 2,
-                .batch = 4,
-                .max_sessions = 2,
-                .tickets_per_session = 8,
-                .use_rings = true,
+                .workers = 0,
+                .max_sessions = 1,
+                .tickets_per_session = 4,
+                .use_rings = false,
                 .txn = true,
-                .txn_engine = engine,
                 .map = small_map()});
   auto c = svc.connect();
-
-  auto do_op = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
-    const auto t = svc.submit(c, op, k, v);
+  auto w = svc.make_worker_ctx();
+  auto run = [&](Op op, std::span<const std::uint64_t> keys,
+                 std::span<const std::uint64_t> vals = {},
+                 std::span<const std::uint64_t> exps = {}) {
+    const auto t = svc.submit_multi(c, op, keys, vals, exps);
     EXPECT_TRUE(t.has_value());
-    return svc.wait(c, *t);
+    while (svc.pump(w) == 0) {
+    }
+    return svc.poll(c, *t)->status;
   };
 
-  EXPECT_EQ(do_op(Op::kInsert, 1, 5).status, Status::kOk);
-  EXPECT_EQ(do_op(Op::kInsert, 1, 6).status, Status::kNotFound);
-  const auto hit = do_op(Op::kFind, 1);
-  EXPECT_EQ(hit.status, Status::kOk);
-  EXPECT_EQ(hit.value, 5u);
+  const std::uint64_t keys[] = {1, 2};
+  const std::uint64_t vals[] = {10, 20};
+  ASSERT_EQ(run(Op::kMultiPut, keys, vals), Status::kOk);
+  auto before = stats::snapshot();
+  ASSERT_EQ(run(Op::kMultiGet, keys), Status::kOk);
+  auto d = stats::snapshot() - before;
+  if constexpr (stats::kCompiledIn) {
+    EXPECT_EQ(d[stats::Id::kTl2RoCommit], 1u);
+    EXPECT_EQ(d[stats::Id::kTl2ClockAdvance], 0u);
+  }
 
-  const std::uint64_t keys[] = {2, 3};
-  const std::uint64_t vals[] = {20, 30};
-  auto t = svc.submit_multi(c, Op::kMultiPut, keys, vals);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(svc.wait(c, *t).status, Status::kOk);
+  const std::uint64_t exps[] = {Txn::wire(10), Txn::wire(20)};
+  const std::uint64_t dess[] = {Txn::wire(15), Txn::wire(15)};
+  before = stats::snapshot();
+  ASSERT_EQ(run(Op::kMultiCas, keys, dess, exps), Status::kOk);
+  d = stats::snapshot() - before;
+  if constexpr (stats::kCompiledIn) {
+    EXPECT_EQ(d[stats::Id::kTl2ClockAdvance], 1u);
+    EXPECT_EQ(d[stats::Id::kTl2RoCommit], 0u);
+  }
 
-  const std::uint64_t all[] = {1, 2, 3, 4};
-  std::uint64_t got[4];
-  t = svc.submit_multi(c, Op::kMultiGet, all);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(svc.wait(c, *t, got).status, Status::kOk);
-  EXPECT_EQ(got[0], Txn::wire(5));
-  EXPECT_EQ(got[1], Txn::wire(20));
-  EXPECT_EQ(got[2], Txn::wire(30));
-  EXPECT_EQ(got[3], Txn::kAbsent);
-
-  const std::uint64_t exps[] = {Txn::wire(20), Txn::wire(30)};
-  const std::uint64_t dess[] = {Txn::wire(15), Txn::wire(35)};
-  std::uint64_t wit[2];
-  t = svc.submit_multi(c, Op::kMultiCas, keys, dess, exps);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(svc.wait(c, *t, wit).status, Status::kOk);
-  EXPECT_EQ(wit[0], Txn::wire(20));
-  t = svc.submit_multi(c, Op::kMultiCas, keys, dess, exps);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(svc.wait(c, *t, wit).status, Status::kNotFound);
-  EXPECT_EQ(wit[0], Txn::wire(15));
-  EXPECT_EQ(wit[1], Txn::wire(35));
-}
-
-TEST(KvServiceTl2, MultiOpRoundTrip) {
-  run_service_round_trip(svc::TxnEngine::kTl2);
-}
-TEST(KvServiceGlstm, MultiOpRoundTrip) {
-  run_service_round_trip(svc::TxnEngine::kGlstm);
+  before = stats::snapshot();
+  ASSERT_EQ(run(Op::kMultiCas, keys, dess, exps), Status::kNotFound);
+  d = stats::snapshot() - before;
+  if constexpr (stats::kCompiledIn) {
+    EXPECT_EQ(d[stats::Id::kTl2ClockAdvance], 0u)
+        << "a missed comparison writes back unchanged values";
+    EXPECT_EQ(d[stats::Id::kTl2RoCommit], 0u);
+    EXPECT_EQ(d[stats::Id::kTl2Abort], 1u);
+  }
 }
 
 // ---------------------------------------------------------------------
-// DFS linearizability against TxnSpec on the adversarial 1-shard
-// config, same trial shape as mcas mode (test_txn.cpp): interleaved
-// insert/mcas vs mput/mget. Fresh ThreadCtx per transact-ful op keeps
+// DFS linearizability of the invisible reader against TxnSpec on the
+// adversarial 1-shard config, same trial shape as the double-collect's
+// (TxnKv.ExploreLinearizable, test_txn.cpp): interleaved insert/mcas vs
+// mput/mget. Fresh ThreadCtx per transact-ful op keeps
 // the descriptor-drain spin unreachable and the DFS tree finite.
 // ---------------------------------------------------------------------
 template <class Engine>
@@ -424,12 +456,12 @@ struct Tl2LinShared {
 
 TEST(Tl2Kv, ExploreLinearizable) {
   auto make_trial = [] {
-    auto sh = std::make_shared<Tl2LinShared<Tl2>>();
+    auto sh = std::make_shared<Tl2LinShared<Txn>>();
     ScheduleExplorer::Trial trial;
     trial.bodies.push_back([sh] {
       sh->do_insert(0, 0, 1);
-      sh->do_mcas(0, 0, 1, Tl2::wire(1), Tl2::kAbsent, Tl2::kAbsent,
-                  Tl2::wire(1));
+      sh->do_mcas(0, 0, 1, Txn::wire(1), Txn::kAbsent, Txn::kAbsent,
+                  Txn::wire(1));
     });
     trial.bodies.push_back([sh] {
       sh->do_mput(1, 0, 1, 3, 4);
@@ -475,13 +507,13 @@ TEST(Tl2Kv, ExploreLinearizable) {
 // ---------------------------------------------------------------------
 TxnSpec::State preloaded_state() {
   TxnSpec::State s{};
-  s.v[0] = Tl2::wire(1);
-  s.v[1] = Tl2::wire(2);
+  s.v[0] = Txn::wire(1);
+  s.v[1] = Txn::wire(2);
   return s;
 }
 
 ScheduleExplorer::Trial make_skip_revalidate_trial() {
-  auto sh = std::make_shared<Tl2LinShared<Tl2Bug>>();
+  auto sh = std::make_shared<Tl2LinShared<TxnBug>>();
   {
     auto ctx = sh->txn.make_ctx();
     const std::uint64_t keys[] = {0, 1};
@@ -544,7 +576,7 @@ TEST(NegativeControlTl2, PctCatchesSkippedRevalidation) {
 // check is exactly what closes the window the negative control opens.
 TEST(Tl2Kv, RevalidationClosesTheTornReadWindow) {
   auto make_trial = [] {
-    auto sh = std::make_shared<Tl2LinShared<Tl2>>();
+    auto sh = std::make_shared<Tl2LinShared<Txn>>();
     {
       auto ctx = sh->txn.make_ctx();
       const std::uint64_t keys[] = {0, 1};
@@ -571,189 +603,10 @@ TEST(Tl2Kv, RevalidationClosesTheTornReadWindow) {
 }
 
 // ---------------------------------------------------------------------
-// The full tl2-mode ring pipeline under PCT schedules, mirroring
-// PctSmoke.TxnPipeline with Config::txn_engine = kTl2 (tsan-smoke runs
-// this by name).
-// ---------------------------------------------------------------------
-struct SvcTl2Pending {
-  OpKind kind = OpKind::kMapFind;
-  std::uint64_t arg = 0;
-  std::uint64_t inv = 0;
-};
-
-struct SvcTl2Shared {
-  Sub sub;
-  Svc svc;
-  HistoryRecorder rec{2};
-  std::vector<Svc::ClientCtx> clients;
-  std::vector<Svc::WorkerCtx> workers;
-  std::array<std::array<SvcTl2Pending, 8>, 2> pending{};
-  std::array<std::uint32_t, 2> next_slot{};
-  std::array<std::vector<Svc::Ticket>, 2> issued;
-
-  SvcTl2Shared()
-      : svc(sub, {.queues = 1,
-                  .queue_capacity = 16,
-                  .workers = 0,
-                  .batch = 4,
-                  .max_sessions = 2,
-                  .tickets_per_session = 8,
-                  .use_rings = true,
-                  .txn = true,
-                  .txn_engine = svc::TxnEngine::kTl2,
-                  .map = {.shards = 1, .buckets_per_shard = 1,
-                          .capacity_per_shard = 16}}) {
-    clients.reserve(2);
-    workers.reserve(2);
-    for (int t = 0; t < 2; ++t) {
-      clients.push_back(svc.connect());
-      workers.push_back(svc.make_worker_ctx());
-    }
-  }
-
-  std::uint64_t ret_of(const SvcTl2Pending& p, std::uint64_t handle,
-                       const svc::Response& r) {
-    if (r.status == Status::kOverload) return TxnSpec::kShed;
-    switch (p.kind) {
-      case OpKind::kMapFind:
-        return r.status == Status::kOk ? r.value + 1 : 0;
-      case OpKind::kTxnMGet: {
-        const auto& ts = svc.peek_slot(handle);
-        return TxnSpec::mget_ret(ts.resp_values[0], ts.resp_values[1]);
-      }
-      case OpKind::kTxnMPut:
-        return 1;
-      case OpKind::kTxnMCas: {
-        const auto& ts = svc.peek_slot(handle);
-        return TxnSpec::mcas_ret(r.status == Status::kOk, ts.resp_values[0],
-                                 ts.resp_values[1]);
-      }
-      default:
-        return r.status == Status::kOk ? 1 : 0;
-    }
-  }
-
-  auto observer() {
-    return [this](std::uint64_t handle, const svc::Response& r) {
-      const unsigned sid = svc::handle_session(handle);
-      const SvcTl2Pending& p = pending[sid][svc::handle_slot(handle)];
-      rec.add(sid, sid, p.kind, p.arg, ret_of(p, handle, r), p.inv);
-    };
-  }
-
-  void book(unsigned t, OpKind kind, std::uint64_t arg,
-            const std::optional<Svc::Ticket>& ticket) {
-    const std::uint32_t slot = next_slot[t];
-    if (!ticket.has_value()) {
-      rec.add(t, t, kind, arg, TxnSpec::kShed, pending[t][slot].inv);
-      return;
-    }
-    next_slot[t] = slot + 1;
-    issued[t].push_back(*ticket);
-  }
-
-  void submit_single(unsigned t, OpKind kind, Op op, std::uint64_t key,
-                     std::uint64_t val) {
-    const std::uint64_t arg = kind == OpKind::kMapErase ||
-                                      kind == OpKind::kMapFind
-                                  ? key
-                                  : TxnSpec::pack_args(key, val);
-    pending[t][next_slot[t]] = SvcTl2Pending{kind, arg, rec.now()};
-    book(t, kind, arg, svc.submit(clients[t], op, key, val));
-  }
-
-  void submit_mput(unsigned t, std::uint64_t k1, std::uint64_t k2,
-                   std::uint64_t v1, std::uint64_t v2) {
-    const std::uint64_t keys[] = {k1, k2};
-    const std::uint64_t vals[] = {v1, v2};
-    const std::uint64_t arg = TxnSpec::pack_mput(k1, k2, v1, v2);
-    pending[t][next_slot[t]] = SvcTl2Pending{OpKind::kTxnMPut, arg, rec.now()};
-    book(t, OpKind::kTxnMPut, arg,
-         svc.submit_multi(clients[t], Op::kMultiPut, keys, vals));
-  }
-
-  void submit_mget(unsigned t, std::uint64_t k1, std::uint64_t k2) {
-    const std::uint64_t keys[] = {k1, k2};
-    const std::uint64_t arg = TxnSpec::pack_mget(k1, k2);
-    pending[t][next_slot[t]] = SvcTl2Pending{OpKind::kTxnMGet, arg, rec.now()};
-    book(t, OpKind::kTxnMGet, arg,
-         svc.submit_multi(clients[t], Op::kMultiGet, keys));
-  }
-
-  void submit_mcas(unsigned t, std::uint64_t k1, std::uint64_t k2,
-                   std::uint64_t e1, std::uint64_t e2, std::uint64_t d1,
-                   std::uint64_t d2) {
-    const std::uint64_t keys[] = {k1, k2};
-    const std::uint64_t exps[] = {e1, e2};
-    const std::uint64_t dess[] = {d1, d2};
-    const std::uint64_t arg = TxnSpec::pack_mcas(k1, k2, e1, e2, d1, d2);
-    pending[t][next_slot[t]] = SvcTl2Pending{OpKind::kTxnMCas, arg, rec.now()};
-    book(t, OpKind::kTxnMCas, arg,
-         svc.submit_multi(clients[t], Op::kMultiCas, keys, dess, exps));
-  }
-
-  bool check() {
-    for (unsigned t = 0; t < 2; ++t) {
-      for (const auto& ticket : issued[t]) {
-        if (!svc.poll(clients[t], ticket).has_value()) return false;
-      }
-    }
-    LinearizabilityChecker<TxnSpec> checker;
-    return checker.check(rec.collect(), TxnSpec::State{});
-  }
-};
-
-TEST(PctSmoke, Tl2Pipeline) {
-  auto make_trial = [] {
-    auto sh = std::make_shared<SvcTl2Shared>();
-    ScheduleExplorer::Trial trial;
-    auto route_and_pump = [sh](unsigned t) {
-      sh->svc.pump_session(sh->workers[t].dctx, sh->clients[t].session(),
-                           sh->observer());
-      sh->svc.pump(sh->workers[t], sh->observer());
-    };
-    auto drain = [sh](unsigned t) {
-      for (;;) {
-        const unsigned moved = sh->svc.pump_session(
-            sh->workers[t].dctx, sh->clients[t].session(), sh->observer());
-        const unsigned done = sh->svc.pump(sh->workers[t], sh->observer());
-        if (moved == 0 && done == 0) break;
-      }
-    };
-    trial.bodies.push_back([sh, route_and_pump, drain] {
-      sh->submit_single(0, OpKind::kMapInsert, Op::kInsert, 0, 1);
-      route_and_pump(0);
-      sh->submit_mcas(0, 0, 1, Txn::wire(1), Txn::kAbsent, Txn::kAbsent,
-                      Txn::wire(1));
-      drain(0);
-    });
-    trial.bodies.push_back([sh, route_and_pump, drain] {
-      sh->submit_mput(1, 0, 1, 3, 4);
-      route_and_pump(1);
-      sh->submit_mget(1, 0, 1);
-      drain(1);
-    });
-    trial.check = [sh] { return sh->check(); };
-    return trial;
-  };
-
-  const testing::PctOptions opts{
-      .runs = scaled_budget(30),
-      .depth = 3,
-      .change_range = 128,
-      .seed = base_seed() + 67,
-  };
-  const auto r = ScheduleExplorer::pct_explore(make_trial, opts);
-  EXPECT_FALSE(r.violation_found)
-      << "non-linearizable tl2 pipeline history under schedule "
-      << r.schedule_string();
-  EXPECT_EQ(r.trials, opts.runs);
-}
-
-// ---------------------------------------------------------------------
-// Transfer torture on both new engines (asan-reclaim runs these by the
-// Tl2Torture name): concurrent 2-key transfers, k=8 snapshots asserting
-// conservation mid-run — the in-tree twin of bench_tl2's checksum check.
+// Transfer torture on TxnKv's invisible reader and on GL-STM
+// (asan-reclaim runs these by the Tl2Torture name): concurrent 2-key
+// transfers, k=8 snapshots asserting conservation mid-run — the in-tree
+// twin of bench_tl2's checksum check.
 // ---------------------------------------------------------------------
 template <class Engine>
 void run_transfer_torture() {
@@ -818,7 +671,7 @@ void run_transfer_torture() {
   EXPECT_EQ(snapshot_sum(ctx), kTotal);
 }
 
-TEST(Tl2Torture, TransfersConserveSum) { run_transfer_torture<Tl2>(); }
+TEST(Tl2Torture, TransfersConserveSum) { run_transfer_torture<Txn>(); }
 TEST(Tl2Torture, GlstmTransfersConserveSum) {
   run_transfer_torture<Glstm>();
 }

@@ -2,7 +2,10 @@
 // verbs and multi_get/multi_put/multi_cas, counter accounting, pool
 // exhaustion, the txn-mode KvService round trip, linearizability of
 // interleaved single/multi-key ops against TxnSpec under DFS and PCT
-// controlled schedules, and a transfer-torture conservation check.
+// controlled schedules, and a transfer-torture conservation check. The
+// engine-level read cases call multi_get_double_collect directly: the
+// invisible reader (test_tl2.cpp) serves almost every multi_get, so the
+// lock-free slow path it falls back to is checked on its own here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,12 +88,12 @@ TEST(TxnKv, MultiGetPutCas) {
 
   const std::uint64_t keys[] = {1, 2, 3};
   std::uint64_t out[3];
-  txn.multi_get(ctx, keys, out);
+  txn.multi_get_double_collect(ctx, keys, out);
   for (const std::uint64_t c : out) EXPECT_EQ(c, Txn::kAbsent);
 
   const std::uint64_t vals[] = {10, 20, 30};
   EXPECT_EQ(txn.multi_put(ctx, keys, vals), TxnStatus::kOk);
-  txn.multi_get(ctx, keys, out);
+  txn.multi_get_double_collect(ctx, keys, out);
   EXPECT_EQ(out[0], Txn::wire(10));
   EXPECT_EQ(out[1], Txn::wire(20));
   EXPECT_EQ(out[2], Txn::wire(30));
@@ -139,7 +142,7 @@ TEST(TxnKv, CountersAccount) {
   const std::uint64_t vals[] = {10, 20};
   ASSERT_EQ(txn.multi_put(ctx, keys, vals), TxnStatus::kOk);
   std::uint64_t out[2];
-  txn.multi_get(ctx, keys, out);
+  txn.multi_get_double_collect(ctx, keys, out);
   const std::uint64_t bad[] = {0, 0};  // expects both absent: mismatch
   ASSERT_EQ(txn.multi_cas(ctx, keys, bad, bad), TxnStatus::kMiss);
 
@@ -313,14 +316,14 @@ struct TxnLinShared {
             TxnSpec::mcas_ret(st == TxnStatus::kOk, wit[0], wit[1]), inv);
   }
 
-  // multi_get never transacts (read-only double-collect), so reusing a
-  // ctx is fine; a fresh one keeps the pid accounting uniform.
+  // The double-collect never transacts, so reusing a ctx would be fine;
+  // a fresh one keeps the pid accounting uniform.
   void do_mget(unsigned t, std::uint64_t k1, std::uint64_t k2) {
     auto ctx = txn.make_ctx();
     const std::uint64_t keys[] = {k1, k2};
     std::uint64_t out[2];
     const auto inv = rec.now();
-    txn.multi_get(ctx, keys, out);
+    txn.multi_get_double_collect(ctx, keys, out);
     rec.add(t, t, OpKind::kTxnMGet, TxnSpec::pack_mget(k1, k2),
             TxnSpec::mget_ret(out[0], out[1]), inv);
   }
@@ -541,9 +544,10 @@ TEST(PctSmoke, TxnPipeline) {
 
 // ---------------------------------------------------------------------
 // Transfer torture: concurrent 2-key multi_cas transfers over an 8-key
-// account set, with k=8 multi_get snapshots asserting value conservation
-// mid-run. This is the asan-reclaim shard's txn entry and the in-tree
-// twin of bench_txn's checksum hard check.
+// account set, with k=8 double-collect snapshots asserting value
+// conservation mid-run (Tl2Torture runs the invisible reader). This is
+// the asan-reclaim shard's txn entry and the in-tree twin of bench_txn's
+// checksum hard check.
 // ---------------------------------------------------------------------
 TEST(TxnTorture, TransfersConserveSum) {
   constexpr unsigned kThreads = 4;
@@ -565,7 +569,7 @@ TEST(TxnTorture, TransfersConserveSum) {
 
   auto snapshot_sum = [&](Txn::ThreadCtx& ctx) {
     std::uint64_t snap[kAccounts];
-    txn.multi_get(ctx, all_keys, snap);
+    txn.multi_get_double_collect(ctx, all_keys, snap);
     std::uint64_t sum = 0;
     for (const std::uint64_t c : snap) {
       EXPECT_NE(c, Txn::kAbsent) << "account vanished";
@@ -587,7 +591,7 @@ TEST(TxnTorture, TransfersConserveSum) {
       if (j == i) j = (j + 1) % kAccounts;
       const std::uint64_t pair[] = {i, j};
       std::uint64_t snap[2];
-      txn.multi_get(ctx, pair, snap);
+      txn.multi_get_double_collect(ctx, pair, snap);
       ASSERT_NE(snap[0], Txn::kAbsent);
       ASSERT_NE(snap[1], Txn::kAbsent);
       const std::uint64_t vi = snap[0] - 1;
