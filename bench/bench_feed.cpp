@@ -122,15 +122,15 @@ std::uint64_t fanout_run(moir::bench::Harness& h, const std::string& sub_name,
     // Subscribe on this thread (before any publish) so every subscriber's
     // cursor starts at sequence 0 and sees the whole run.
     const unsigned shard = s % kQueues;
-    const auto id = feed.subscribe(moir::feed::Filter::kShard, shard);
-    MOIR_ASSERT(id.has_value());
-    subs.emplace_back([&, s, id] {
+    const auto token = feed.subscribe(moir::feed::Filter::kShard, shard);
+    MOIR_ASSERT(token.has_value());
+    subs.emplace_back([&, s, token] {
       SubscriberTally& tally = tallies[s];
       std::map<std::uint64_t, std::uint64_t> last_ver;
       moir::feed::Record buf[32];
       const auto no_resync = [](std::uint64_t) { return std::uint64_t{0}; };
       for (;;) {
-        const auto res = feed.poll(*id, buf, 32, no_resync);
+        const auto res = feed.poll(*token, buf, 32, no_resync).value();
         for (unsigned i = 0; i < res.delivered; ++i) {
           const moir::feed::Record& r = buf[i];
           const std::uint64_t ver = r.version & ~moir::feed::kResyncBit;
@@ -159,7 +159,7 @@ std::uint64_t fanout_run(moir::bench::Harness& h, const std::string& sub_name,
           std::this_thread::sleep_for(std::chrono::microseconds(250 * fanout));
         }
       }
-      feed.unsubscribe(*id);
+      feed.unsubscribe(*token);
     });
   }
 

@@ -43,6 +43,10 @@
 // Subscriber slots are DynamicRegistry leases gated by an explicit count
 // (the registry asserts past its ceiling rather than failing, so the gate
 // is what turns "feed full" into a shedding kOverload at the service).
+// Callers name a subscription by an opaque generation-stamped token, and
+// poll()/unsubscribe() refuse one that is not live: a forged, stale, or
+// double-freed token cannot underflow the gate, over-free the registry, or
+// reach the cursor of a subscription that has since recycled the slot.
 #pragma once
 
 #include <atomic>
@@ -106,9 +110,9 @@ class ChangeFeed {
   // shard, supplied by the caller since the feed does not own the hash) or
   // a whole shard (filter kShard). The cursor starts at published(): a new
   // subscriber sees updates committed after it subscribed, the snapshot
-  // before that is the map itself. Returns nullopt when max_subscribers
-  // leases are already out.
-  std::optional<std::uint32_t> subscribe(Filter filter, unsigned shard,
+  // before that is the map itself. Returns the subscription's token, or
+  // nullopt when max_subscribers leases are already out.
+  std::optional<std::uint64_t> subscribe(Filter filter, unsigned shard,
                                          std::uint64_t key = 0) {
     MOIR_ASSERT(shard < shards_);
     // Gate before join(): DynamicRegistry asserts past its ceiling, the
@@ -128,28 +132,44 @@ class ChangeFeed {
     sub.shard = shard;
     sub.key = key;
     sub.cursor = rings_[shard]->published();
-    return id;
+    // Token: high half a generation, low half slot + 1 (never 0, so 0 marks
+    // a free slot). The generation keeps a stale token for a recycled slot
+    // from matching (modulo 2^32 subscribes). The release publishes the
+    // fields above to whoever validates the token (live()).
+    const std::uint64_t token =
+        ((gen_.fetch_add(1, std::memory_order_relaxed) & 0xffffffffu) << 32) |
+        (id + 1);
+    sub.token.store(token, std::memory_order_release);
+    return token;
   }
 
-  // Returns the lease. The caller must have consumed every outstanding
-  // poll for `id` first — the slot is immediately reusable by the next
-  // subscribe (same discipline as ticket slots).
-  void unsubscribe(std::uint32_t id) {
-    MOIR_ASSERT(id < max_subscribers_);
-    reg_.leave(id);
+  // Returns the lease; false, with no effect, when `token` is not live. The
+  // caller must have consumed every outstanding poll of the subscription
+  // first — the slot is immediately reusable (same discipline as ticket
+  // slots). The CAS fails a second unsubscribe even when the two race.
+  bool unsubscribe(std::uint64_t token) {
+    Subscription* sub = live(token);
+    std::uint64_t expected = token;
+    if (sub == nullptr || !sub->token.compare_exchange_strong(expected, 0)) {
+      return false;
+    }
+    reg_.leave(static_cast<std::uint32_t>(token) - 1);
     count_.fetch_sub(1, std::memory_order_relaxed);
+    return true;
   }
 
   // Reader side. Fills up to `max` records; `resync(key)` must return the
-  // key's current wire-form value from the authoritative map. Calls for
-  // one subscription must be serialized by the caller (the service's
-  // per-queue claim does this; a direct subscriber is naturally its own
-  // single poller) — the cursor is deliberately not atomic.
+  // key's current wire-form value from the authoritative map. nullopt, with
+  // nothing read, when `token` is not a live subscription. Calls for one
+  // subscription must be serialized by the caller (the service's per-queue
+  // claim does this; a direct subscriber is naturally its own single
+  // poller) — the cursor is deliberately not atomic.
   template <class ResyncFn>
-  PollResult poll(std::uint32_t id, Record* out, unsigned max,
-                  ResyncFn&& resync) {
-    MOIR_ASSERT(id < max_subscribers_);
-    Subscription& sub = subs_[id];
+  std::optional<PollResult> poll(std::uint64_t token, Record* out,
+                                 unsigned max, ResyncFn&& resync) {
+    Subscription* const live_sub = live(token);
+    if (live_sub == nullptr) return std::nullopt;
+    Subscription& sub = *live_sub;
     Ring& ring = *rings_[sub.shard];
     PollResult res;
     Record rec;
@@ -197,12 +217,25 @@ class ChangeFeed {
     unsigned shard = 0;
     std::uint64_t key = 0;
     std::uint64_t cursor = 0;
+    std::atomic<std::uint64_t> token{0};  // live token, 0 = slot free
   };
+
+  // The subscription `token` names, or nullptr when it is not live. The
+  // acquire pairs with subscribe()'s release. No yield point: the check
+  // adds no step to the poll path the explorers enumerate.
+  Subscription* live(std::uint64_t token) {
+    const std::uint64_t low = token & 0xffffffffu;
+    if (low == 0 || low > max_subscribers_) return nullptr;
+    Subscription& sub = subs_[low - 1];
+    return sub.token.load(std::memory_order_acquire) == token ? &sub
+                                                              : nullptr;
+  }
 
   const unsigned shards_;
   const unsigned max_subscribers_;
   std::vector<std::unique_ptr<Ring>> rings_;
   std::atomic<unsigned> count_{0};  // gate: leases handed out
+  std::atomic<std::uint64_t> gen_{1};  // token generations (subscribe)
   DynamicRegistry reg_;
   std::unique_ptr<Subscription[]> subs_;
 };

@@ -68,6 +68,16 @@ inline std::uint64_t hash_mix64(std::uint64_t x) {
   return x;
 }
 
+// Outcome of a write that may create its key's node. TxnKv reports its
+// writes in the same terms (txn::TxnStatus is this type), so one executor
+// switch can drive either store.
+enum class WriteStatus : std::uint8_t {
+  kOk,       // applied (insert: inserted; upsert: inserted; cas: matched)
+  kMiss,     // comparison failed / key already present / updated in place
+  kNoSpace,  // a key's shard node pool is exhausted; nothing was written
+  kInvalid,  // TxnKv only: malformed (value out of range, duplicate key)
+};
+
 template <SmallLlscSubstrate S, reclaim::Reclaimer R>
 class ShardedHashMap {
  public:
@@ -116,21 +126,25 @@ class ShardedHashMap {
   // Inserts key -> value. Returns false if the key is present or the
   // shard's node pool is exhausted (alloc_exhaustion counts the latter).
   bool insert(ThreadCtx& ctx, std::uint64_t key, std::uint64_t value) {
-    Shard& sh = shard_of(key);
-    reclaimer_.enter(ctx.rec);
-    const SlotResult r = insert_impl(ctx, sh, key, value, /*upsert=*/false);
-    reclaimer_.exit(ctx.rec);
-    return r.ok && r.inserted;
+    return write(ctx, key, value, /*upsert=*/false) == WriteStatus::kOk;
   }
 
   // Updates in place if present (returns false), inserts otherwise
   // (returns true). YCSB "update" maps here.
   bool upsert(ThreadCtx& ctx, std::uint64_t key, std::uint64_t value) {
+    return write(ctx, key, value, /*upsert=*/true) == WriteStatus::kOk;
+  }
+
+  // insert (upsert = false) or upsert, telling apart the cases their bool
+  // folds together: inserted, key present (upsert: updated), no space.
+  WriteStatus write(ThreadCtx& ctx, std::uint64_t key, std::uint64_t value,
+                    bool upsert) {
     Shard& sh = shard_of(key);
     reclaimer_.enter(ctx.rec);
-    const SlotResult r = insert_impl(ctx, sh, key, value, /*upsert=*/true);
+    const SlotResult r = insert_impl(ctx, sh, key, value, upsert);
     reclaimer_.exit(ctx.rec);
-    return r.ok && r.inserted;
+    if (!r.ok) return WriteStatus::kNoSpace;
+    return r.inserted ? WriteStatus::kOk : WriteStatus::kMiss;
   }
 
   // ----- txn-layer hooks ---------------------------------------------------

@@ -15,69 +15,21 @@
 namespace moir::stats {
 
 const char* name(Id id) {
-  switch (id) {
-    case Id::kScSuccess: return "sc_success";
-    case Id::kScFail: return "sc_fail";
-    case Id::kCasSuccess: return "cas_success";
-    case Id::kCasFail: return "cas_fail";
-    case Id::kRscRetry: return "rsc_retry";
-    case Id::kRscSpurious: return "rsc_spurious";
-    case Id::kRscConflict: return "rsc_conflict";
-    case Id::kTagAlloc: return "tag_alloc";
-    case Id::kTagRecycle: return "tag_recycle";
-    case Id::kTagExhaustion: return "tag_exhaustion";
-    case Id::kHelpRounds: return "help_rounds";
-    case Id::kWordCopies: return "word_copies";
-    case Id::kStmCommit: return "stm_commit";
-    case Id::kStmAbort: return "stm_abort";
-    case Id::kStmHelp: return "stm_help";
-    case Id::kEpochAdvance: return "epoch_advance";
-    case Id::kHpScan: return "hp_scan";
-    case Id::kNodeRetire: return "node_retire";
-    case Id::kNodeFree: return "node_free";
-    case Id::kAllocExhaustion: return "alloc_exhaustion";
-    case Id::kSvcEnqueue: return "svc_enqueue";
-    case Id::kSvcBatch: return "svc_batch";
-    case Id::kSvcShed: return "svc_shed";
-    case Id::kSvcDrain: return "svc_drain";
-    case Id::kTxnStart: return "txn_start";
-    case Id::kTxnCommit: return "txn_commit";
-    case Id::kTxnAbort: return "txn_abort";
-    case Id::kTxnHelp: return "txn_help";
-    case Id::kTxnRevalidate: return "txn_revalidate";
-    case Id::kBwAnnounce: return "bw_announce";
-    case Id::kBwHelp: return "bw_help";
-    case Id::kBwAllocReuse: return "bw_alloc_reuse";
-    case Id::kDurFlush: return "dur_flush";
-    case Id::kDurFence: return "dur_fence";
-    case Id::kDurRecover: return "dur_recover";
-    case Id::kRegJoin: return "reg_join";
-    case Id::kRegLeave: return "reg_leave";
-    case Id::kFeedPublish: return "feed_publish";
-    case Id::kFeedDeliver: return "feed_deliver";
-    case Id::kFeedOverrun: return "feed_overrun";
-    case Id::kFeedResync: return "feed_resync";
-    case Id::kTl2ClockAdvance: return "tl2_clock_advance";
-    case Id::kTl2RoCommit: return "tl2_ro_commit";
-    case Id::kTl2Abort: return "tl2_abort";
-    case Id::kTl2Revalidate: return "tl2_revalidate";
-    case Id::kTl2Fallback: return "tl2_fallback";
-    case Id::kNumIds: break;
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+#define MOIR_COUNTER(id, json) #json,
+#include "stats/catalogue.def"
+  };
+  const auto i = static_cast<unsigned>(id);
+  return i < kNumCounters ? kNames[i] : "unknown";
 }
 
 const char* name(HistId id) {
-  switch (id) {
-    case HistId::kScRetries: return "sc_retries";
-    case HistId::kStmAbortsPerCommit: return "stm_aborts_per_commit";
-    case HistId::kRetireListLen: return "retire_list_len";
-    case HistId::kSvcBatchSize: return "batch_size";
-    case HistId::kSvcLatency: return "svc_latency";
-    case HistId::kTxnKeys: return "txn_keys";
-    case HistId::kNumHistIds: break;
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+#define MOIR_HISTOGRAM(id, json) #json,
+#include "stats/catalogue.def"
+  };
+  const auto i = static_cast<unsigned>(id);
+  return i < kNumHists ? kNames[i] : "unknown";
 }
 
 #if MOIR_STATS

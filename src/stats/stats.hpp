@@ -54,70 +54,19 @@
 namespace moir::stats {
 
 // ----- Counter catalogue ---------------------------------------------------
-// One entry per event the core emulations emit. docs/OBSERVABILITY.md maps
-// each to the paper construction and lemma it instruments; the JSON name is
-// name(id).
+// Both enums are generated from stats/catalogue.def, which carries each
+// entry's meaning; the JSON name is name(id).
 enum class Id : std::uint8_t {
-  kScSuccess,     // SC linearized (Figures 4, 5, 6, 7)
-  kScFail,        // SC returned false: lost the race or keep-word said fail
-  kCasSuccess,    // Figure 3 Cas succeeded
-  kCasFail,       // Figure 3 Cas failed (value mismatch)
-  kRscRetry,      // RSC failed spuriously and the loop retried (Figs 3, 5)
-  kRscSpurious,   // RSC failure injected/spurious (reservation intact)
-  kRscConflict,   // RSC failure due to a real conflicting write
-  kTagAlloc,      // Figure 7 took a fresh tag from the queue head
-  kTagRecycle,    // Figure 7 re-enqueued a tag proven safe to reuse
-  kTagExhaustion, // Figure 7 slot stack found no free slot (bound hit)
-  kHelpRounds,    // Figure 6 copy() pass that helped another process's SC
-  kWordCopies,    // Figure 6 per-segment copy CAS attempts
-  kStmCommit,     // STM transaction committed
-  kStmAbort,      // STM transaction aborted and retried
-  kStmHelp,       // STM helped another transaction's ownership record
-  kEpochAdvance,  // EBR global epoch advanced (all threads caught up)
-  kHpScan,        // hazard-pointer scan pass over all announcement slots
-  kNodeRetire,    // a node was retired to a reclaimer (unlinked, not freed)
-  kNodeFree,      // a retired node's grace period elapsed and it was freed
-  kAllocExhaustion,  // block allocator pool empty at alloc()
-  kSvcEnqueue,    // service accepted a request into the dispatch pipeline
-  kSvcBatch,      // executor batch (>= 1 request) popped and executed
-  kSvcShed,       // request refused at admission (EBUSY) instead of blocking
-  kSvcDrain,      // request completed during graceful drain (after stop())
-  kTxnStart,      // multi-key transaction begun (src/txn/)
-  kTxnCommit,     // multi-key transaction applied (incl. validated multi-get)
-  kTxnAbort,      // multi-key CAS committed with a comparison mismatch
-  kTxnHelp,       // double-collect fallback helped a locked cell's owner
-  kTxnRevalidate, // double-collect fallback retried (tag/handle changed)
-  kBwAnnounce,    // Blelloch–Wei LL published a descriptor announcement
-  kBwHelp,        // BW LL/read retry round absorbed a concurrent SC's install
-  kBwAllocReuse,  // BW scan harvested an unannounced retired descriptor
-  kDurFlush,      // simulated pmem write-back scheduled (dur/pmem.hpp flush)
-  kDurFence,      // persist fence committed pending write-backs durably
-  kDurRecover,    // figdur recovery rebuilt volatile state from durable
-  kRegJoin,       // DynamicRegistry membership join (elastic pool, figdur)
-  kRegLeave,      // DynamicRegistry membership leave
-  kFeedPublish,   // committed update appended to a shard's broadcast ring
-  kFeedDeliver,   // record handed to a subscriber (incl. resync records)
-  kFeedOverrun,   // subscriber cursor lapped by the writer (slot recycled)
-  kFeedResync,    // subscriber recovered from an overrun via a map read
-  kTl2ClockAdvance, // global version clock drawn for a value-changing commit
-  kTl2RoCommit,   // multi_get committed via the invisible-reader path
-  kTl2Abort,      // multi_cas comparison failed (rw abort, on top of txn_*)
-  kTl2Revalidate, // invisible read failed validation (locked or stamp > rv)
-  kTl2Fallback,   // multi_get exhausted retries, fell back to double-collect
+#define MOIR_COUNTER(id, json) id,
+#include "stats/catalogue.def"
   kNumIds
 };
 
 inline constexpr unsigned kNumCounters = static_cast<unsigned>(Id::kNumIds);
 
-// Histograms, for distributions a scalar counter flattens.
 enum class HistId : std::uint8_t {
-  kScRetries,           // RSC retries per SC/Cas operation (Figs 3, 5)
-  kStmAbortsPerCommit,  // aborts a transaction suffered before committing
-  kRetireListLen,       // reclaimer retire-list length at each retire();
-                        // the merged max is the high-water mark
-  kSvcBatchSize,        // requests executed per non-empty executor batch
-  kSvcLatency,          // ns from admission to response publication
-  kTxnKeys,             // keys per multi-key transaction (k)
+#define MOIR_HISTOGRAM(id, json) id,
+#include "stats/catalogue.def"
   kNumHistIds
 };
 

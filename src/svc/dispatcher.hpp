@@ -45,9 +45,9 @@ enum class Op : std::uint8_t {
   kMultiPut,
   kMultiCas,
   // Change-feed verbs (feed mode only; see src/feed/feed.hpp and the
-  // service's execute_feed). kSubscribe: key = watched key (value == 0)
-  // or shard index (value == 1), resp_value = the subscription id.
-  // kUnsubscribe: key = the id. kPoll: key = the id, value = max records
+  // service's execute). kSubscribe: key = watched key (value == 0) or
+  // shard index (value == 1), resp_value = the subscription token.
+  // kUnsubscribe: key = the token. kPoll: key = the token, value = max records
   // (<= kMaxTxnKeys); the executor returns delivered records through the
   // keys/args/exps arrays (key/value/version per record — safe to reuse
   // because the done==gen handshake means the client is not reading them)
@@ -62,11 +62,12 @@ enum class Status : std::uint8_t {
   kNotFound,  // kFind/kErase on an absent key, kUpsert updated in place,
               // kInsert on a present key, kMultiCas comparison mismatch:
               // the "false/absent" return
-  kOverload,  // completed WITH an error before reaching the map: shard
-              // queue full at the router, or a txn key's node pool
-              // exhausted (either way the request had no effect — EBUSY)
+  kOverload,  // completed WITH an error and no effect (EBUSY): shard
+              // queue full at the router, a write's node pool exhausted,
+              // or a multi-key / feed verb whose mode is off
   kInvalid,   // malformed txn payload (a value past TxnKv::kMaxValue, a key
-              // named twice in one kMulti*): no effect, do not retry
+              // named twice in one kMulti*, a kMulti* without a runnable
+              // key set): no effect, do not retry
 };
 
 // Keys per multi-key transaction request (mirrors txn::TxnKv::kMaxTxnKeys
@@ -89,7 +90,7 @@ struct alignas(kCacheLine) TicketSlot {
   std::uint64_t gen = 0;        // client-owned reuse counter
   std::uint64_t submit_ns = 0;  // stats-only latency origin (0 = untimed)
   Op op = Op::kFind;
-  std::uint8_t nkeys = 0;  // multi ops: number of keys (2..kMaxTxnKeys)
+  std::uint8_t nkeys = 0;  // multi ops: keys, 1..kMaxTxnKeys; 0 = none runnable
   // Multi-key payload (txn mode): args = plain values for kMultiPut /
   // wire-form desired for kMultiCas; exps = wire-form expected (kMultiCas).
   std::uint64_t keys[kMaxTxnKeys] = {};

@@ -100,7 +100,7 @@ class KvService {
     // Transaction mode: values live in the txn layer's per-node Mcas
     // cells (insert-only map discipline) and the kMulti* ops are
     // accepted. Single-key semantics are unchanged; off (the default)
-    // keeps the plain map path and rejects multi-key submits.
+    // keeps the plain map path and completes multi-key requests kOverload.
     bool txn = false;
     // Change-feed mode: every committed write is broadcast on the key's
     // shard ring and the kSubscribe/kUnsubscribe/kPoll verbs are accepted
@@ -158,12 +158,17 @@ class KvService {
   // Executor-side contexts; one per worker (or per manual pumper).
   struct WorkerCtx {
     typename Disp::ThreadCtx dctx;
-    typename Map::ThreadCtx mctx;
     std::vector<std::uint64_t> buf;  // batch buffer, cfg.batch entries
     unsigned rotor = 0;              // round-robin start shard
-    // Txn mode only: the txn store's context (its embedded map ctx is a
-    // second reclaimer lease, hence the doubled worker term below).
+    // The store's context, one map context either way: the map's own, or
+    // in txn mode the txn store's (which embeds the worker's map context).
+    std::optional<typename Map::ThreadCtx> mctx;
     std::unique_ptr<typename Txn::ThreadCtx> tctx;
+  };
+
+  // The observer pump/pump_session/pump_router run when given none.
+  struct NoObserver {
+    void operator()(std::uint64_t, const Response&) const {}
   };
 
   explicit KvService(S& substrate, Config cfg = {})
@@ -174,10 +179,7 @@ class KvService {
         // elastic ceiling, the router, and slack for a manual pumper /
         // preloader. The ceiling term is doubled: a retiring worker still
         // holds its ctx while its replacement may already be spinning up.
-        // Txn mode doubles the worker/pumper terms again (WorkerCtx
-        // carries both a plain map ctx and the txn ctx's embedded one).
-        max_threads_(cfg.max_sessions + (cfg.txn ? 4 * worker_ceiling_ + 4
-                                                 : 2 * worker_ceiling_ + 2)),
+        max_threads_(cfg.max_sessions + 2 * worker_ceiling_ + 2),
         disp_(substrate, max_threads_, cfg.queues, cfg.queue_capacity),
         map_(substrate, max_threads_, cfg.map),
         session_reg_(cfg.max_sessions),
@@ -188,19 +190,17 @@ class KvService {
     MOIR_ASSERT_MSG(!(cfg_.feed && cfg_.txn),
                     "feed mode broadcasts plain-map commits; txn values "
                     "live in Mcas cells the feed hook cannot see");
-    if (cfg_.txn) txn_ = std::make_unique<Txn>(map_, max_threads_);
+    if (cfg_.txn) {
+      // STM pids are never returned, so the txn store's budget counts
+      // contexts over the service's life, not concurrent holders: on top
+      // of the concurrent bound, one more generation of worker and pumper
+      // contexts (a retired worker's pid stays spent).
+      txn_ = std::make_unique<Txn>(map_,
+                                   max_threads_ + 2 * worker_ceiling_ + 2);
+    }
     if (cfg_.feed) {
       feed_ = std::make_unique<Feed>(cfg_.queues, cfg_.feed_max_subscribers);
-      queue_claims_ =
-          std::make_unique<std::atomic<bool>[]>(cfg_.queues);
-      for (unsigned q = 0; q < cfg_.queues; ++q) {
-        queue_claims_[q].store(false, std::memory_order_relaxed);
-      }
-      sub_tokens_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-          cfg_.feed_max_subscribers);
-      for (unsigned i = 0; i < cfg_.feed_max_subscribers; ++i) {
-        sub_tokens_[i].store(0, std::memory_order_relaxed);
-      }
+      queue_claims_ = std::make_unique<std::atomic<bool>[]>(cfg_.queues);
     }
     sessions_.reserve(cfg_.max_sessions);
     for (unsigned i = 0; i < cfg_.max_sessions; ++i) {
@@ -246,130 +246,47 @@ class KvService {
   // shard queue's node pool is exhausted. Never blocks.
   std::optional<Ticket> submit(ClientCtx& c, Op op, std::uint64_t key,
                                std::uint64_t value = 0) {
-    SessionState& ss = *sessions_[c.sid_];
-    if (draining_.load(std::memory_order_acquire) || ss.free.empty()) {
-      stats::count(stats::Id::kSvcShed);
-      return std::nullopt;
-    }
-    const std::uint32_t slot = ss.free.back();
-    TicketSlot& ts = ss.slots[slot];
-    ts.key = key;
-    ts.value = value;
-    ts.op = op;
-    ts.gen += 1;
-    ts.submit_ns = stats::counting_enabled() ? clock_.elapsed_ns() : 0;
-    const std::uint64_t handle = make_handle(c.sid_, slot);
-    const bool ok = cfg_.use_rings ? ss.ring.try_push(handle)
-                                   : disp_.enqueue(ss.dctx, key, handle);
-    if (!ok) {
-      // The slot was never published; the gen bump is harmless and the
-      // ticket stays free.
-      stats::count(stats::Id::kSvcShed);
-      return std::nullopt;
-    }
-    ss.free.pop_back();
-    stats::count(stats::Id::kSvcEnqueue);
-    return Ticket{slot, ts.gen};
+    return admit(c, op, key, value, {}, {}, {});
   }
 
-  // Multi-key admission (txn mode only). `keys` are the transaction's
-  // distinct keys in user order; `values` are plain values for kMultiPut
-  // and WIRE-FORM desired words for kMultiCas (0 = erase, v+1 = v);
+  // Multi-key admission (txn mode). `keys` are the transaction's distinct
+  // keys in user order; `values` are plain values for kMultiPut and
+  // WIRE-FORM desired words for kMultiCas (0 = erase, v+1 = v);
   // `expected` is the wire-form comparison vector for kMultiCas. Same
   // shed discipline as submit(): the whole transaction is admitted or
   // refused atomically — a shed here (or a kOverload later) means NO key
-  // was touched, so a shed can never strand a partial transaction.
+  // was touched, so a shed can never strand a partial transaction. A key
+  // set the executor cannot run (empty, over kMaxTxnKeys, or a span whose
+  // length is not what the op reads) is admitted and completes kInvalid.
   std::optional<Ticket> submit_multi(
       ClientCtx& c, Op op, std::span<const std::uint64_t> keys,
       std::span<const std::uint64_t> values = {},
       std::span<const std::uint64_t> expected = {}) {
-    MOIR_ASSERT_MSG(cfg_.txn, "multi-key ops require Config::txn");
-    const auto n = static_cast<std::uint8_t>(keys.size());
-    MOIR_ASSERT(n >= 1 && n <= kMaxTxnKeys);
-    MOIR_ASSERT(op == Op::kMultiGet || op == Op::kMultiPut ||
-                op == Op::kMultiCas);
-    MOIR_ASSERT(op == Op::kMultiGet || values.size() == keys.size());
-    MOIR_ASSERT(op != Op::kMultiCas || expected.size() == keys.size());
-    SessionState& ss = *sessions_[c.sid_];
-    if (draining_.load(std::memory_order_acquire) || ss.free.empty()) {
-      stats::count(stats::Id::kSvcShed);
-      return std::nullopt;
-    }
-    const std::uint32_t slot = ss.free.back();
-    TicketSlot& ts = ss.slots[slot];
-    ts.key = keys[0];  // the routing key; see pump_session
-    ts.value = 0;
-    ts.op = op;
-    ts.nkeys = n;
-    for (std::uint8_t i = 0; i < n; ++i) {
-      ts.keys[i] = keys[i];
-      ts.args[i] = i < values.size() ? values[i] : 0;
-      ts.exps[i] = i < expected.size() ? expected[i] : 0;
-    }
-    ts.gen += 1;
-    ts.submit_ns = stats::counting_enabled() ? clock_.elapsed_ns() : 0;
-    const std::uint64_t handle = make_handle(c.sid_, slot);
-    const bool ok = cfg_.use_rings ? ss.ring.try_push(handle)
-                                   : disp_.enqueue(ss.dctx, ts.key, handle);
-    if (!ok) {
-      stats::count(stats::Id::kSvcShed);
-      return std::nullopt;
-    }
-    ss.free.pop_back();
-    stats::count(stats::Id::kSvcEnqueue);
-    return Ticket{slot, ts.gen};
+    // Routed by keys[0]; see pump_session.
+    return admit(c, op, keys.empty() ? 0 : keys[0], 0, keys, values,
+                 expected);
   }
 
   // Non-blocking completion check. Consumes the ticket on success: the
-  // slot returns to the window and the Ticket must not be reused.
-  std::optional<Response> poll(ClientCtx& c, const Ticket& t) {
-    SessionState& ss = *sessions_[c.sid_];
-    TicketSlot& ts = ss.slots[t.slot];
-    MOIR_YIELD_READ(&ts.done);
-    if (ts.done.load(std::memory_order_acquire) != t.gen) {
-      return std::nullopt;
-    }
-    const Response r{ts.resp_status, ts.resp_value};
-    ss.free.push_back(t.slot);
-    return r;
-  }
-
-  // Multi-value poll: additionally copies the per-key response vector
-  // (kMultiGet snapshot / kMultiCas witness, wire form, user key order)
-  // into values_out before the slot is released.
+  // slot returns to the window and the Ticket must not be reused. A
+  // multi-key request's per-key response vector (kMultiGet snapshot /
+  // kMultiCas witness, wire form, user key order) is copied into
+  // values_out, up to its size.
   std::optional<Response> poll(ClientCtx& c, const Ticket& t,
-                               std::span<std::uint64_t> values_out) {
-    SessionState& ss = *sessions_[c.sid_];
-    TicketSlot& ts = ss.slots[t.slot];
-    MOIR_YIELD_READ(&ts.done);
-    if (ts.done.load(std::memory_order_acquire) != t.gen) {
-      return std::nullopt;
-    }
-    const std::size_t n =
-        std::min<std::size_t>(ts.nkeys, values_out.size());
-    for (std::size_t i = 0; i < n; ++i) values_out[i] = ts.resp_values[i];
-    const Response r{ts.resp_status, ts.resp_value};
-    ss.free.push_back(t.slot);
-    return r;
+                               std::span<std::uint64_t> values_out = {}) {
+    return take(c, t, [&](const TicketSlot& ts) {
+      const std::size_t n =
+          std::min<std::size_t>(ts.nkeys, values_out.size());
+      std::copy_n(ts.resp_values, n, values_out.begin());
+      return Response{ts.resp_status, ts.resp_value};
+    });
   }
 
   // Voluntary blocking on one ticket: spin-then-yield until complete. Only
   // meaningful while workers (or a manual pumper on another thread) run.
-  Response wait(ClientCtx& c, const Ticket& t) {
-    SpinWait sw;
-    for (;;) {
-      if (auto r = poll(c, t)) return *r;
-      sw.pause();
-    }
-  }
-
   Response wait(ClientCtx& c, const Ticket& t,
-                std::span<std::uint64_t> values_out) {
-    SpinWait sw;
-    for (;;) {
-      if (auto r = poll(c, t, values_out)) return *r;
-      sw.pause();
-    }
+                std::span<std::uint64_t> values_out = {}) {
+    return spin([&] { return poll(c, t, values_out); });
   }
 
   // ----- Feed client API (feed mode; see src/feed/feed.hpp) ----------------
@@ -398,43 +315,37 @@ class KvService {
   // advanced the cursor past them) — size `out` to the kPoll request.
   std::optional<FeedDelivery> poll_feed(ClientCtx& c, const Ticket& t,
                                         feed::Record* out, unsigned max) {
-    SessionState& ss = *sessions_[c.sid_];
-    TicketSlot& ts = ss.slots[t.slot];
-    MOIR_YIELD_READ(&ts.done);
-    if (ts.done.load(std::memory_order_acquire) != t.gen) {
-      return std::nullopt;
-    }
-    FeedDelivery d;
-    d.status = ts.resp_status;
-    if (d.status == Status::kOk) {
-      d.delivered = std::min(static_cast<unsigned>(ts.resp_value & 0xff), max);
-      d.overrun = (ts.resp_value & kPollOverrun) != 0;
-      d.resynced = (ts.resp_value & kPollResynced) != 0;
-      for (unsigned i = 0; i < d.delivered; ++i) {
-        out[i] = feed::Record{ts.keys[i], ts.args[i], ts.exps[i]};
+    return take(c, t, [&](const TicketSlot& ts) {
+      FeedDelivery d;
+      d.status = ts.resp_status;
+      if (d.status == Status::kOk) {
+        d.delivered =
+            std::min(static_cast<unsigned>(ts.resp_value & 0xff), max);
+        d.overrun = (ts.resp_value & kPollOverrun) != 0;
+        d.resynced = (ts.resp_value & kPollResynced) != 0;
+        for (unsigned i = 0; i < d.delivered; ++i) {
+          out[i] = feed::Record{ts.keys[i], ts.args[i], ts.exps[i]};
+        }
       }
-    }
-    ss.free.push_back(t.slot);
-    return d;
+      return d;
+    });
   }
 
   FeedDelivery wait_feed(ClientCtx& c, const Ticket& t, feed::Record* out,
                          unsigned max) {
-    SpinWait sw;
-    for (;;) {
-      if (auto d = poll_feed(c, t, out, max)) return *d;
-      sw.pause();
-    }
+    return spin([&] { return poll_feed(c, t, out, max); });
   }
 
   // ----- Executor API (workers call these; tests/benches may pump
   // manually when cfg.workers == 0) ----------------------------------------
 
   WorkerCtx make_worker_ctx() {
-    WorkerCtx w{disp_.make_ctx(), map_.make_ctx(),
-                std::vector<std::uint64_t>(cfg_.batch), 0, nullptr};
-    if (cfg_.txn) {
+    WorkerCtx w{disp_.make_ctx(), std::vector<std::uint64_t>(cfg_.batch), 0,
+                std::nullopt, nullptr};
+    if (txn_) {
       w.tctx = std::make_unique<typename Txn::ThreadCtx>(txn_->make_ctx());
+    } else {
+      w.mctx.emplace(map_.make_ctx());
     }
     return w;
   }
@@ -465,8 +376,8 @@ class KvService {
   // also carries the happens-before edge that hands the ring's writer
   // role — and the feed-op subscription cursors, which ride the same
   // key-hashed routing — from one worker to the next.
-  template <class Observer>
-  unsigned pump(WorkerCtx& w, Observer&& obs) {
+  template <class Observer = NoObserver>
+  unsigned pump(WorkerCtx& w, Observer&& obs = {}) {
     unsigned total = 0;
     const unsigned nq = disp_.queue_count();
     for (unsigned i = 0; i < nq; ++i) {
@@ -476,17 +387,17 @@ class KvService {
       if (k != 0) {
         stats::count(stats::Id::kSvcBatch);
         stats::record(stats::HistId::kSvcBatchSize, k);
-        for (unsigned j = 0; j < k; ++j) execute(w, w.buf[j], obs);
+        for (unsigned j = 0; j < k; ++j) {
+          const std::uint64_t h = w.buf[j];
+          TicketSlot& ts = sessions_[handle_session(h)]->slots[handle_slot(h)];
+          complete(ts, execute(w, ts), h, obs);
+        }
         total += k;
       }
       if (feed_) release_queue(q);
     }
     w.rotor = nq == 0 ? 0 : (w.rotor + 1) % nq;
     return total;
-  }
-
-  unsigned pump(WorkerCtx& w) {
-    return pump(w, [](std::uint64_t, const Response&) {});
   }
 
   // Route one session's ring into the shard queues. The ring is SPSC —
@@ -496,9 +407,9 @@ class KvService {
   // ticket with kOverload right here — shedding, not blocking, so a
   // stalled executor cannot wedge the router. At most one ring's capacity
   // is moved per call.
-  template <class Observer>
+  template <class Observer = NoObserver>
   unsigned pump_session(typename Disp::ThreadCtx& rc, unsigned sid,
-                        Observer&& obs) {
+                        Observer&& obs = {}) {
     SessionState& ss = *sessions_[sid];
     constexpr std::uint32_t burst = Ring::capacity();
     unsigned moved = 0;
@@ -515,23 +426,15 @@ class KvService {
     return moved;
   }
 
-  unsigned pump_session(typename Disp::ThreadCtx& rc, unsigned sid) {
-    return pump_session(rc, sid, [](std::uint64_t, const Response&) {});
-  }
-
   // One pass over all live session rings (the router thread's loop body).
-  template <class Observer>
-  unsigned pump_router(typename Disp::ThreadCtx& rc, Observer&& obs) {
+  template <class Observer = NoObserver>
+  unsigned pump_router(typename Disp::ThreadCtx& rc, Observer&& obs = {}) {
     unsigned moved = 0;
     for (unsigned sid = 0; sid < cfg_.max_sessions; ++sid) {
       if (!sessions_[sid]->live.load(std::memory_order_acquire)) continue;
       moved += pump_session(rc, sid, obs);
     }
     return moved;
-  }
-
-  unsigned pump_router(typename Disp::ThreadCtx& rc) {
-    return pump_router(rc, [](std::uint64_t, const Response&) {});
   }
 
   bool queues_empty() const { return disp_.all_empty(); }
@@ -554,7 +457,6 @@ class KvService {
   // subscriber is its own single poller), bypassing the kPoll verb — the
   // ring read path is write-free, so out-of-band readers cost the
   // pipeline nothing.
-  bool feed_enabled() const { return feed_ != nullptr; }
   Feed& feed() {
     MOIR_ASSERT(cfg_.feed);
     return *feed_;
@@ -626,216 +528,224 @@ class KvService {
     session_reg_.release_process(sid);
   }
 
-  // Map a txn-layer status onto the wire Status. kNoSpace (node pool
-  // exhausted before any cell was written) is an EBUSY-class outcome: the
+  // The one admission path: writes the whole payload — the key count too,
+  // so a reused slot never carries its previous tenant's key set; a key
+  // set the executor cannot run is stored as none (nkeys = 0, which a
+  // kMulti* completes as kInvalid) — then enqueues the handle.
+  std::optional<Ticket> admit(ClientCtx& c, Op op, std::uint64_t key,
+                              std::uint64_t value,
+                              std::span<const std::uint64_t> keys,
+                              std::span<const std::uint64_t> values,
+                              std::span<const std::uint64_t> expected) {
+    SessionState& ss = *sessions_[c.sid_];
+    if (draining_.load(std::memory_order_acquire) || ss.free.empty()) {
+      stats::count(stats::Id::kSvcShed);
+      return std::nullopt;
+    }
+    const std::uint32_t slot = ss.free.back();
+    TicketSlot& ts = ss.slots[slot];
+    ts.key = key;
+    ts.value = value;
+    ts.op = op;
+    const std::size_t n = keys.size();
+    const bool runnable =
+        n >= 1 && n <= kMaxTxnKeys &&
+        values.size() == (op == Op::kMultiGet ? 0 : n) &&
+        expected.size() == (op == Op::kMultiCas ? n : 0);
+    ts.nkeys = runnable ? static_cast<std::uint8_t>(n) : 0;
+    for (std::uint8_t i = 0; i < ts.nkeys; ++i) {
+      ts.keys[i] = keys[i];
+      ts.args[i] = i < values.size() ? values[i] : 0;
+      ts.exps[i] = i < expected.size() ? expected[i] : 0;
+    }
+    ts.gen += 1;
+    ts.submit_ns = stats::counting_enabled() ? clock_.elapsed_ns() : 0;
+    const std::uint64_t handle = make_handle(c.sid_, slot);
+    const bool ok = cfg_.use_rings ? ss.ring.try_push(handle)
+                                   : disp_.enqueue(ss.dctx, key, handle);
+    if (!ok) {
+      // The slot was never published; the gen bump is harmless and the
+      // ticket stays free.
+      stats::count(stats::Id::kSvcShed);
+      return std::nullopt;
+    }
+    ss.free.pop_back();
+    stats::count(stats::Id::kSvcEnqueue);
+    return Ticket{slot, ts.gen};
+  }
+
+  // The one ticket-take behind poll and poll_feed: nullopt while the
+  // request is in flight; once done == gen, `read` copies the response out
+  // and the slot returns to the window.
+  template <class Read>
+  auto take(ClientCtx& c, const Ticket& t, Read&& read)
+      -> std::optional<decltype(read(std::declval<const TicketSlot&>()))> {
+    SessionState& ss = *sessions_[c.sid_];
+    const TicketSlot& ts = ss.slots[t.slot];
+    MOIR_YIELD_READ(&ts.done);
+    if (ts.done.load(std::memory_order_acquire) != t.gen) {
+      return std::nullopt;
+    }
+    auto out = read(ts);
+    ss.free.push_back(t.slot);
+    return out;
+  }
+
+  // wait/wait_feed: spin-then-yield on a poll until it completes.
+  template <class Poll>
+  static auto spin(Poll&& poll) {
+    SpinWait sw;
+    for (;;) {
+      if (auto r = poll()) return *r;
+      sw.pause();
+    }
+  }
+
+  // Map a store's write outcome onto the wire Status. kNoSpace (node pool
+  // exhausted before anything was written) is an EBUSY-class outcome: the
   // request completed WITH an error and had no effect, same contract as a
   // router-side shed. kInvalid also had no effect, but retrying the same
   // payload cannot succeed.
-  static Status to_status(txn::TxnStatus s) {
+  static Status to_status(WriteStatus s) {
     switch (s) {
-      case txn::TxnStatus::kOk:
+      case WriteStatus::kOk:
         return Status::kOk;
-      case txn::TxnStatus::kMiss:
+      case WriteStatus::kMiss:
         return Status::kNotFound;
-      case txn::TxnStatus::kNoSpace:
+      case WriteStatus::kNoSpace:
         return Status::kOverload;
-      case txn::TxnStatus::kInvalid:
+      case WriteStatus::kInvalid:
         return Status::kInvalid;
     }
     return Status::kOverload;
   }
 
-  template <class Observer>
-  void execute(WorkerCtx& w, std::uint64_t handle, Observer&& obs) {
-    SessionState& ss = *sessions_[handle_session(handle)];
-    TicketSlot& ts = ss.slots[handle_slot(handle)];
-    Response r;
-    if (cfg_.txn) {
-      execute_txn(*w.tctx, ts, r);
-      complete(ts, r, handle, obs);
-      return;
-    }
-    switch (ts.op) {
-      case Op::kFind: {
-        const auto v = map_.find(w.mctx, ts.key);
-        r.status = v ? Status::kOk : Status::kNotFound;
-        r.value = v.value_or(0);
-        break;
-      }
-      case Op::kInsert: {
-        const bool ok = map_.insert(w.mctx, ts.key, ts.value);
-        r.status = ok ? Status::kOk : Status::kNotFound;
-        if (ok) publish_commit(ts.key, ts.value + 1);
-        break;
-      }
-      case Op::kUpsert:
-        // Both outcomes (inserted / updated in place) committed a write.
-        r.status = map_.upsert(w.mctx, ts.key, ts.value) ? Status::kOk
-                                                         : Status::kNotFound;
-        publish_commit(ts.key, ts.value + 1);
-        break;
-      case Op::kErase: {
-        const bool ok = map_.erase(w.mctx, ts.key);
-        r.status = ok ? Status::kOk : Status::kNotFound;
-        if (ok) publish_commit(ts.key, 0);
-        break;
-      }
-      case Op::kMultiGet:
-      case Op::kMultiPut:
-      case Op::kMultiCas:
-        // Unreachable: submit_multi asserts cfg_.txn. Complete defensively
-        // rather than corrupt state.
-        r.status = Status::kOverload;
-        break;
-      case Op::kSubscribe:
-      case Op::kUnsubscribe:
-      case Op::kPoll:
-        execute_feed(w, ts, r);
-        break;
-    }
-    complete(ts, r, handle, obs);
-  }
-
-  // Broadcast a committed write on its shard's ring (feed mode only).
-  // Called after the map operation and before the response publication,
-  // from inside the queue claim: the ring's single-writer requirement is
-  // exactly "one claim holder per queue", and dispatch queue == feed shard
-  // (both are queue_of(key)), so every write to a key lands on one ring
-  // in its commit order.
-  void publish_commit(std::uint64_t key, std::uint64_t wire_value) {
-    if (feed_) feed_->publish(disp_.queue_of(key), key, wire_value);
-  }
-
+  // One switch over Op for both stores. In txn mode the single-key verbs
+  // keep their map semantics but run through the txn layer (its cells are
+  // the authoritative store), and the multi-key ops are the atomic
+  // transactions; both stores report writes as a WriteStatus.
+  //
   // Feed verbs run executor-side, which keeps the admission path free of
   // registration: a shed request (EBUSY at submit) provably never touched
   // a subscription lease. kSubscribe routes by the watched key, kPoll and
   // kUnsubscribe by the subscription token — constant per subscription, so
   // all polls of one subscription land on one queue and the claim
-  // serializes its cursor (and, with the token check below, every verb
-  // that could free or reuse this subscription's slot).
-  //
-  // The executor does NOT trust a client-supplied token: kSubscribe hands
-  // out an opaque generation-stamped token rather than the raw registry
-  // slot, and kPoll/kUnsubscribe validate it against the slot's live
-  // token first. A never-issued, stale, or double-freed token completes
-  // kNotFound instead of underflowing the lease gate (unsigned wrap would
-  // shed every future subscribe), over-freeing the registry, or polling a
-  // reused slot's cursor.
-  void execute_feed(WorkerCtx& w, TicketSlot& ts, Response& r) {
-    if (feed_ == nullptr) {
-      r.status = Status::kOverload;  // feed verbs need Config::feed
-      return;
-    }
-    switch (ts.op) {
-      case Op::kSubscribe: {
-        const bool shard_filter = ts.value != 0;
-        const unsigned shard =
-            shard_filter ? static_cast<unsigned>(ts.key % cfg_.queues)
-                         : disp_.queue_of(ts.key);
-        const auto id =
-            shard_filter ? feed_->subscribe(feed::Filter::kShard, shard)
-                         : feed_->subscribe(feed::Filter::kKey, shard, ts.key);
-        if (!id.has_value()) {
-          r.status = Status::kOverload;
-          r.value = 0;
-          break;
-        }
-        const std::uint64_t token = make_sub_token(*id);
-        sub_tokens_[*id].store(token, std::memory_order_release);
-        r.status = Status::kOk;
-        r.value = token;
-        break;
-      }
-      case Op::kUnsubscribe: {
-        const auto id = check_sub_token(ts.key);
-        if (!id.has_value()) {
-          r.status = Status::kNotFound;  // no such (live) subscription
-          break;
-        }
-        // Invalidate before releasing the lease: every verb carrying this
-        // token routes to this queue, so the claim keeps a concurrent
-        // poll from slipping between the two stores, and a second
-        // unsubscribe of the same token fails the check above.
-        sub_tokens_[*id].store(0, std::memory_order_release);
-        feed_->unsubscribe(*id);
-        r.status = Status::kOk;
-        break;
-      }
-      case Op::kPoll: {
-        const auto id = check_sub_token(ts.key);
-        if (!id.has_value()) {
-          r.status = Status::kNotFound;  // no such (live) subscription
-          break;
-        }
-        const unsigned max = static_cast<unsigned>(std::min<std::uint64_t>(
-            ts.value == 0 ? kMaxTxnKeys : ts.value, kMaxTxnKeys));
-        feed::Record recs[kMaxTxnKeys];
-        const feed::PollResult pr =
-            feed_->poll(*id, recs, max, [&](std::uint64_t key) {
-              const auto v = map_.find(w.mctx, key);
-              return v.has_value() ? *v + 1 : 0;
-            });
-        // Reuse the multi-key arrays as the delivery vector; the client
-        // reads them back through poll_feed after done==gen.
-        for (unsigned i = 0; i < pr.delivered; ++i) {
-          ts.keys[i] = recs[i].key;
-          ts.args[i] = recs[i].value;
-          ts.exps[i] = recs[i].version;
-        }
-        r.status = Status::kOk;
-        r.value = pr.delivered | (pr.overrun ? kPollOverrun : 0) |
-                  (pr.resynced ? kPollResynced : 0);
-        break;
-      }
-      default:
-        r.status = Status::kOverload;
-        break;
-    }
-  }
-
-  // Txn-mode execution: single-key verbs keep their map semantics but run
-  // through the txn layer (its cells are the authoritative store);
-  // multi-key ops are the atomic transactions.
-  void execute_txn(typename Txn::ThreadCtx& tctx, TicketSlot& ts,
-                   Response& r) {
+  // serializes its cursor (and every verb that could free or reuse this
+  // subscription's slot). The executor does NOT trust a client-supplied
+  // token: the ChangeFeed refuses one that is not live (never issued,
+  // stale, or double-freed), and the request completes kNotFound. Forced
+  // inline into pump(): out of line it cost ~5% of txn_bank throughput.
+  [[gnu::always_inline]] Response execute(WorkerCtx& w, TicketSlot& ts) {
+    // A verb whose mode is off (multi-key ops without Config::txn, feed
+    // verbs without Config::feed) completes kOverload with no effect.
+    Response r{Status::kOverload, 0};
+    // Wire form of a committed single-key write (0 = erased, v+1 = v).
+    std::optional<std::uint64_t> committed;
     switch (ts.op) {
       case Op::kFind: {
-        const auto v = txn_->get(tctx, ts.key);
+        const auto v = txn_ ? txn_->get(*w.tctx, ts.key)
+                            : map_.find(*w.mctx, ts.key);
         r.status = v ? Status::kOk : Status::kNotFound;
         r.value = v.value_or(0);
         break;
       }
       case Op::kInsert:
-        r.status = to_status(txn_->insert(tctx, ts.key, ts.value));
+      case Op::kUpsert: {
+        const bool upsert = ts.op == Op::kUpsert;
+        const WriteStatus s =
+            !txn_    ? map_.write(*w.mctx, ts.key, ts.value, upsert)
+            : upsert ? txn_->upsert(*w.tctx, ts.key, ts.value)
+                     : txn_->insert(*w.tctx, ts.key, ts.value);
+        r.status = to_status(s);
+        // Inserted, or (upsert) updated in place: a write committed.
+        if (s == WriteStatus::kOk || (upsert && s == WriteStatus::kMiss)) {
+          committed = ts.value + 1;
+        }
         break;
-      case Op::kUpsert:
-        r.status = to_status(txn_->upsert(tctx, ts.key, ts.value));
+      }
+      case Op::kErase: {
+        const bool erased = txn_ ? txn_->erase(*w.tctx, ts.key)
+                                 : map_.erase(*w.mctx, ts.key);
+        r.status = erased ? Status::kOk : Status::kNotFound;
+        if (erased) committed = 0;
         break;
-      case Op::kErase:
-        r.status =
-            txn_->erase(tctx, ts.key) ? Status::kOk : Status::kNotFound;
-        break;
+      }
       case Op::kMultiGet:
-        txn_->multi_get(tctx, std::span(ts.keys, ts.nkeys),
-                        std::span(ts.resp_values, ts.nkeys));
-        r.status = Status::kOk;
-        break;
       case Op::kMultiPut:
-        r.status = to_status(txn_->multi_put(
-            tctx, std::span(ts.keys, ts.nkeys), std::span(ts.args, ts.nkeys)));
+      case Op::kMultiCas: {
+        if (!txn_) break;
+        if (ts.nkeys == 0) {
+          r.status = Status::kInvalid;  // no runnable key set (see admit)
+          break;
+        }
+        const std::span keys(ts.keys, ts.nkeys);
+        const std::span args(ts.args, ts.nkeys);
+        const std::span out(ts.resp_values, ts.nkeys);
+        if (ts.op == Op::kMultiGet) {
+          txn_->multi_get(*w.tctx, keys, out);
+          r.status = Status::kOk;
+        } else if (ts.op == Op::kMultiPut) {
+          r.status = to_status(txn_->multi_put(*w.tctx, keys, args));
+        } else {
+          r.status = to_status(txn_->multi_cas(
+              *w.tctx, keys, std::span(ts.exps, ts.nkeys), args, out));
+        }
         break;
-      case Op::kMultiCas:
-        r.status = to_status(txn_->multi_cas(
-            tctx, std::span(ts.keys, ts.nkeys), std::span(ts.exps, ts.nkeys),
-            std::span(ts.args, ts.nkeys), std::span(ts.resp_values, ts.nkeys)));
+      }
+      case Op::kSubscribe: {
+        if (!feed_) break;
+        const bool shard_filter = ts.value != 0;
+        const unsigned shard =
+            shard_filter ? static_cast<unsigned>(ts.key % cfg_.queues)
+                         : disp_.queue_of(ts.key);
+        const auto token =
+            shard_filter ? feed_->subscribe(feed::Filter::kShard, shard)
+                         : feed_->subscribe(feed::Filter::kKey, shard, ts.key);
+        if (token) r = {Status::kOk, *token};
         break;
-      case Op::kSubscribe:
+      }
       case Op::kUnsubscribe:
-      case Op::kPoll:
-        // Feed mode and txn mode are mutually exclusive (ctor assert).
-        r.status = Status::kOverload;
+        if (!feed_) break;
+        r.status =
+            feed_->unsubscribe(ts.key) ? Status::kOk : Status::kNotFound;
         break;
+      case Op::kPoll: {
+        if (!feed_) break;
+        const unsigned max = static_cast<unsigned>(std::min<std::uint64_t>(
+            ts.value == 0 ? kMaxTxnKeys : ts.value, kMaxTxnKeys));
+        feed::Record recs[kMaxTxnKeys];
+        const auto pr =
+            feed_->poll(ts.key, recs, max, [&](std::uint64_t key) {
+              const auto v = map_.find(*w.mctx, key);
+              return v.has_value() ? *v + 1 : 0;
+            });
+        if (!pr) {
+          r.status = Status::kNotFound;  // no such (live) subscription
+          break;
+        }
+        // Reuse the multi-key arrays as the delivery vector; the client
+        // reads them back through poll_feed after done==gen.
+        for (unsigned i = 0; i < pr->delivered; ++i) {
+          ts.keys[i] = recs[i].key;
+          ts.args[i] = recs[i].value;
+          ts.exps[i] = recs[i].version;
+        }
+        r.status = Status::kOk;
+        r.value = pr->delivered | (pr->overrun ? kPollOverrun : 0) |
+                  (pr->resynced ? kPollResynced : 0);
+        break;
+      }
     }
+    // Broadcast a committed write on its shard's ring (feed mode only).
+    // Published after the store operation and before the response, from
+    // inside the queue claim: the ring's single-writer requirement is
+    // exactly "one claim holder per queue", and dispatch queue == feed
+    // shard (both are queue_of(key)), so every write to a key lands on one
+    // ring in its commit order.
+    if (committed && feed_) {
+      feed_->publish(disp_.queue_of(ts.key), ts.key, *committed);
+    }
+    return r;
   }
 
   template <class Observer>
@@ -928,34 +838,6 @@ class KvService {
     return true;
   }
 
-  // Subscription tokens (feed mode): high half a generation drawn from
-  // sub_gen_, low half the registry slot + 1 — never 0, so 0 can mean
-  // "slot free". The generation makes a token unique across slot reuse
-  // (modulo 2^32 subscribes, far past any deployment's churn), so a
-  // stale token for a recycled slot mismatches instead of aliasing the
-  // new subscription.
-  std::uint64_t make_sub_token(std::uint32_t id) {
-    const std::uint64_t gen =
-        sub_gen_.fetch_add(1, std::memory_order_relaxed);
-    return ((gen & 0xffffffffu) << 32) | (id + 1);
-  }
-
-  // Decodes and validates a client-supplied token against the slot's live
-  // token; nullopt = not a live subscription. The acquire pairs with the
-  // release in kSubscribe, ordering the feed's subscription-slot writes
-  // before any use of the decoded id (the claim covers the same-queue
-  // verbs; this covers a forged token arriving on another queue, which
-  // must fail without touching feed state).
-  std::optional<std::uint32_t> check_sub_token(std::uint64_t token) const {
-    const std::uint64_t low = token & 0xffffffffu;
-    if (low == 0 || low > cfg_.feed_max_subscribers) return std::nullopt;
-    const auto id = static_cast<std::uint32_t>(low - 1);
-    if (sub_tokens_[id].load(std::memory_order_acquire) != token) {
-      return std::nullopt;
-    }
-    return id;
-  }
-
   // Feed-mode queue exclusivity: acquire on the winning exchange pairs
   // with the release store in release_queue, ordering the previous
   // holder's ring publishes and cursor updates before ours.
@@ -1002,10 +884,6 @@ class KvService {
   // execution so each broadcast ring keeps a single writer; see pump().
   std::unique_ptr<Feed> feed_;
   std::unique_ptr<std::atomic<bool>[]> queue_claims_;
-  // Live subscription token per feed slot (0 = free) and the generation
-  // source behind make_sub_token; see execute_feed.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> sub_tokens_;
-  std::atomic<std::uint64_t> sub_gen_{1};
   ProcessRegistry session_reg_;
   // Membership leases for the elastic pool (2x ceiling: a retiree's lease
   // may overlap its replacement's). Never used by the stats layer, so the

@@ -104,12 +104,8 @@
 
 namespace moir::txn {
 
-enum class TxnStatus : std::uint8_t {
-  kOk,       // applied (insert: inserted; upsert: inserted; cas: matched)
-  kMiss,     // comparison failed / key already present / updated in place
-  kNoSpace,  // a key's shard node pool is exhausted; nothing was written
-  kInvalid,  // malformed (value out of range, duplicate key); no effect
-};
+// The map's write outcomes (map/sharded_map.hpp), kInvalid included.
+using TxnStatus = WriteStatus;
 
 template <SmallLlscSubstrate S, reclaim::Reclaimer R,
           bool SkipRevalidate = false>

@@ -132,15 +132,15 @@ TEST(ChangeFeed, KeyFilterDeliversOnlyWatchedKey) {
   CountingScope counting;
   const auto before = stats::snapshot();
   feed::ChangeFeed<8> feed(1, 2);
-  const auto id = feed.subscribe(feed::Filter::kKey, 0, 5);
-  ASSERT_TRUE(id.has_value());
+  const auto token = feed.subscribe(feed::Filter::kKey, 0, 5);
+  ASSERT_TRUE(token.has_value());
 
   feed.publish(0, 5, 51);
   feed.publish(0, 6, 61);
   feed.publish(0, 5, 52);
 
   feed::Record recs[8];
-  const auto pr = feed.poll(*id, recs, 8, no_resync);
+  const auto pr = feed.poll(*token, recs, 8, no_resync).value();
   EXPECT_FALSE(pr.overrun);
   EXPECT_FALSE(pr.resynced);
   ASSERT_EQ(pr.delivered, 2u);
@@ -151,7 +151,7 @@ TEST(ChangeFeed, KeyFilterDeliversOnlyWatchedKey) {
   EXPECT_EQ(recs[1].version, 2u);
 
   // Nothing new: an empty poll, not a repeat delivery.
-  EXPECT_EQ(feed.poll(*id, recs, 8, no_resync).delivered, 0u);
+  EXPECT_EQ(feed.poll(*token, recs, 8, no_resync).value().delivered, 0u);
 
   if constexpr (stats::kCompiledIn) {
     const auto d = stats::snapshot() - before;
@@ -163,15 +163,15 @@ TEST(ChangeFeed, KeyFilterDeliversOnlyWatchedKey) {
 
 TEST(ChangeFeed, ShardFilterDeliversEverything) {
   feed::ChangeFeed<8> feed(2, 2);
-  const auto id = feed.subscribe(feed::Filter::kShard, 1);
-  ASSERT_TRUE(id.has_value());
+  const auto token = feed.subscribe(feed::Filter::kShard, 1);
+  ASSERT_TRUE(token.has_value());
 
   feed.publish(1, 5, 51);
   feed.publish(0, 9, 91);  // other shard: never seen by this subscription
   feed.publish(1, 6, 61);
 
   feed::Record recs[8];
-  const auto pr = feed.poll(*id, recs, 8, no_resync);
+  const auto pr = feed.poll(*token, recs, 8, no_resync).value();
   ASSERT_EQ(pr.delivered, 2u);
   EXPECT_EQ(recs[0].key, 5u);
   EXPECT_EQ(recs[1].key, 6u);
@@ -186,7 +186,7 @@ TEST(ChangeFeed, SubscriberCeilingRefusedAndReleased) {
   EXPECT_EQ(feed.active_subscribers(), 2u);
   EXPECT_FALSE(feed.subscribe(feed::Filter::kKey, 0, 2).has_value())
       << "lease ceiling must refuse, not assert";
-  feed.unsubscribe(*a);
+  EXPECT_TRUE(feed.unsubscribe(*a));
   EXPECT_EQ(feed.active_subscribers(), 1u);
   const auto c = feed.subscribe(feed::Filter::kKey, 0, 3);
   ASSERT_TRUE(c.has_value()) << "released lease must be reusable";
@@ -197,12 +197,12 @@ TEST(ChangeFeed, SubscriberCeilingRefusedAndReleased) {
 TEST(ChangeFeed, SubscriptionStartsAtSubscribeTime) {
   feed::ChangeFeed<8> feed(1, 1);
   feed.publish(0, 5, 50);
-  const auto id = feed.subscribe(feed::Filter::kKey, 0, 5);
-  ASSERT_TRUE(id.has_value());
+  const auto token = feed.subscribe(feed::Filter::kKey, 0, 5);
+  ASSERT_TRUE(token.has_value());
   feed::Record recs[4];
-  EXPECT_EQ(feed.poll(*id, recs, 4, no_resync).delivered, 0u);
+  EXPECT_EQ(feed.poll(*token, recs, 4, no_resync).value().delivered, 0u);
   feed.publish(0, 5, 51);
-  const auto pr = feed.poll(*id, recs, 4, no_resync);
+  const auto pr = feed.poll(*token, recs, 4, no_resync).value();
   ASSERT_EQ(pr.delivered, 1u);
   EXPECT_EQ(recs[0].value, 51u);
 }
@@ -211,8 +211,8 @@ TEST(ChangeFeed, KeyOverrunResyncsFromMap) {
   CountingScope counting;
   const auto before = stats::snapshot();
   feed::ChangeFeed<4> feed(1, 1);
-  const auto id = feed.subscribe(feed::Filter::kKey, 0, 7);
-  ASSERT_TRUE(id.has_value());
+  const auto token = feed.subscribe(feed::Filter::kKey, 0, 7);
+  ASSERT_TRUE(token.has_value());
 
   // Lap the 4-slot ring: 6 commits to the watched key.
   for (std::uint64_t v = 1; v <= 6; ++v) feed.publish(0, 7, v);
@@ -220,10 +220,10 @@ TEST(ChangeFeed, KeyOverrunResyncsFromMap) {
   std::uint64_t map_value = 6;  // what the authoritative map now holds
   feed::Record recs[8];
   const auto pr =
-      feed.poll(*id, recs, 8, [&](std::uint64_t key) {
+      feed.poll(*token, recs, 8, [&](std::uint64_t key) {
         EXPECT_EQ(key, 7u);
         return map_value;
-      });
+      }).value();
   EXPECT_TRUE(pr.overrun);
   EXPECT_TRUE(pr.resynced);
   ASSERT_EQ(pr.delivered, 1u) << "resync collapses the lost run into one "
@@ -236,7 +236,7 @@ TEST(ChangeFeed, KeyOverrunResyncsFromMap) {
 
   // Back in sync: the next commit arrives as a plain ring record.
   feed.publish(0, 7, 9);
-  const auto pr2 = feed.poll(*id, recs, 8, no_resync);
+  const auto pr2 = feed.poll(*token, recs, 8, no_resync).value();
   EXPECT_FALSE(pr2.overrun);
   ASSERT_EQ(pr2.delivered, 1u);
   EXPECT_EQ(recs[0].value, 9u);
@@ -251,19 +251,19 @@ TEST(ChangeFeed, KeyOverrunResyncsFromMap) {
 
 TEST(ChangeFeed, ShardOverrunRebasesWithoutSyntheticRecord) {
   feed::ChangeFeed<4> feed(1, 1);
-  const auto id = feed.subscribe(feed::Filter::kShard, 0);
-  ASSERT_TRUE(id.has_value());
+  const auto token = feed.subscribe(feed::Filter::kShard, 0);
+  ASSERT_TRUE(token.has_value());
   for (std::uint64_t v = 1; v <= 6; ++v) feed.publish(0, v, v);
 
   feed::Record recs[8];
-  const auto pr = feed.poll(*id, recs, 8, no_resync);
+  const auto pr = feed.poll(*token, recs, 8, no_resync).value();
   EXPECT_TRUE(pr.overrun);
   EXPECT_TRUE(pr.resynced);
   // The cursor re-based to published(): records 2..5 are simply lost
   // (shard subscribers re-read the map themselves) and polling resumes.
   EXPECT_EQ(pr.delivered, 0u);
   feed.publish(0, 9, 99);
-  const auto pr2 = feed.poll(*id, recs, 8, no_resync);
+  const auto pr2 = feed.poll(*token, recs, 8, no_resync).value();
   ASSERT_EQ(pr2.delivered, 1u);
   EXPECT_EQ(recs[0].key, 9u);
 }
@@ -273,15 +273,15 @@ TEST(ChangeFeed, ShardOverrunRebasesWithoutSyntheticRecord) {
 // budget and leaves the subscription positioned for the next match.
 TEST(ChangeFeed, PollSkipsFilteredRecords) {
   feed::ChangeFeed<8> feed(1, 1);
-  const auto id = feed.subscribe(feed::Filter::kKey, 0, 42);
-  ASSERT_TRUE(id.has_value());
+  const auto token = feed.subscribe(feed::Filter::kKey, 0, 42);
+  ASSERT_TRUE(token.has_value());
   for (std::uint64_t i = 0; i < 8; ++i) feed.publish(0, 1 + (i % 3), i + 1);
   feed::Record recs[4];
-  auto pr = feed.poll(*id, recs, 4, no_resync);
+  auto pr = feed.poll(*token, recs, 4, no_resync).value();
   EXPECT_EQ(pr.delivered, 0u);
   EXPECT_FALSE(pr.overrun);
   feed.publish(0, 42, 7);
-  pr = feed.poll(*id, recs, 4, no_resync);
+  pr = feed.poll(*token, recs, 4, no_resync).value();
   ASSERT_EQ(pr.delivered, 1u);
   EXPECT_EQ(recs[0].value, 7u);
 }
@@ -290,17 +290,53 @@ TEST(ChangeFeed, PollSkipsFilteredRecords) {
 // "absent": one synthetic record with the wire-form 0.
 TEST(ChangeFeed, LappedKeySubscriberResyncsToAbsent) {
   feed::ChangeFeed<8> feed(1, 1);
-  const auto id = feed.subscribe(feed::Filter::kKey, 0, 42);
-  ASSERT_TRUE(id.has_value());
+  const auto token = feed.subscribe(feed::Filter::kKey, 0, 42);
+  ASSERT_TRUE(token.has_value());
   for (std::uint64_t i = 0; i < 100; ++i) feed.publish(0, 1 + (i % 3), i + 1);
   feed::Record recs[4];
-  const auto pr = feed.poll(*id, recs, 4, no_resync);
+  const auto pr = feed.poll(*token, recs, 4, no_resync).value();
   EXPECT_TRUE(pr.overrun);
   ASSERT_EQ(pr.delivered, 1u);
   EXPECT_EQ(recs[0].key, 42u);
   EXPECT_EQ(recs[0].value, 0u);
   EXPECT_TRUE(recs[0].version & feed::kResyncBit);
   EXPECT_EQ(recs[0].version & ~feed::kResyncBit, 100u);
+}
+
+// Direct subscribers get the same token checks as the service verbs: a
+// forged, stale, or double-freed token is refused by poll and unsubscribe
+// without touching the lease gate or the slot's new tenant.
+TEST(ChangeFeed, StaleTokenRefused) {
+  feed::ChangeFeed<8> feed(1, 2);
+  const auto token = feed.subscribe(feed::Filter::kKey, 0, 5);
+  ASSERT_TRUE(token.has_value());
+  EXPECT_NE(*token, 0u);
+  feed::Record recs[4];
+  for (const std::uint64_t forged :
+       {std::uint64_t{0}, *token + 1, *token ^ (std::uint64_t{1} << 32),
+        ~std::uint64_t{0}}) {
+    EXPECT_FALSE(feed.poll(forged, recs, 4, no_resync).has_value());
+    EXPECT_FALSE(feed.unsubscribe(forged));
+  }
+  EXPECT_EQ(feed.active_subscribers(), 1u);
+
+  EXPECT_TRUE(feed.unsubscribe(*token));
+  EXPECT_FALSE(feed.unsubscribe(*token))
+      << "double unsubscribe must fail, not underflow the lease gate";
+  EXPECT_FALSE(feed.poll(*token, recs, 4, no_resync).has_value());
+  EXPECT_EQ(feed.active_subscribers(), 0u);
+
+  // The slot is recycled under a fresh generation: the stale token
+  // neither polls the new cursor nor frees the new lease.
+  const auto next = feed.subscribe(feed::Filter::kKey, 0, 6);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_NE(*next, *token);
+  EXPECT_EQ(*next & 0xffffffffu, *token & 0xffffffffu) << "same slot reused";
+  feed.publish(0, 6, 61);
+  EXPECT_FALSE(feed.poll(*token, recs, 4, no_resync).has_value());
+  EXPECT_FALSE(feed.unsubscribe(*token));
+  EXPECT_EQ(feed.poll(*next, recs, 4, no_resync).value().delivered, 1u);
+  EXPECT_EQ(feed.active_subscribers(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -618,6 +654,57 @@ TEST(KvServiceFeed, PollFeedClampsDeliveredToCallerBuffer) {
   run(Op::kUnsubscribe, s.value);
 }
 
+// A write that finds its shard's node pool exhausted had no effect: it
+// completes kOverload, like a txn-mode kNoSpace, and broadcasts nothing.
+// An in-place update needs no node and still commits and publishes.
+TEST(KvServiceFeed, FullPoolWriteCompletesOverloadUnpublished) {
+  Sub sub;
+  Svc svc(sub, {.queues = 1,
+                .queue_capacity = 32,
+                .workers = 0,
+                .batch = 8,
+                .max_sessions = 1,
+                .tickets_per_session = 8,
+                .use_rings = false,
+                .feed = true,
+                .feed_max_subscribers = 1,
+                .map = {.shards = 1, .buckets_per_shard = 4,
+                        .capacity_per_shard = 4}});
+  auto c = svc.connect();
+  auto w = svc.make_worker_ctx();
+  auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
+    const auto t = svc.submit(c, op, k, v);
+    EXPECT_TRUE(t.has_value());
+    svc.pump(w);
+    return *svc.poll(c, *t);
+  };
+
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    ASSERT_EQ(run(Op::kInsert, k, k).status, Status::kOk);
+  }
+  const auto s = run(Op::kSubscribe, 0, 1);  // the shard's only ring
+  ASSERT_EQ(s.status, Status::kOk);
+
+  EXPECT_EQ(run(Op::kUpsert, 100, 7).status, Status::kOverload);
+  EXPECT_EQ(run(Op::kInsert, 101, 7).status, Status::kOverload);
+  EXPECT_EQ(run(Op::kFind, 100).status, Status::kNotFound);
+  EXPECT_EQ(run(Op::kFind, 101).status, Status::kNotFound);
+  EXPECT_EQ(run(Op::kUpsert, 3, 30).status, Status::kNotFound)
+      << "upsert on a present key reports updated-in-place";
+
+  const auto tp = svc.submit(c, Op::kPoll, s.value, 8);
+  ASSERT_TRUE(tp.has_value());
+  svc.pump(w);
+  feed::Record recs[8];
+  const auto d = svc.poll_feed(c, *tp, recs, 8);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->status, Status::kOk);
+  ASSERT_EQ(d->delivered, 1u) << "only the in-place update committed";
+  EXPECT_EQ(recs[0].key, 3u);
+  EXPECT_EQ(recs[0].value, 31u);
+  run(Op::kUnsubscribe, s.value);
+}
+
 TEST(KvServiceFeed, FeedVerbsRequireFeedMode) {
   Sub sub;
   Svc svc(sub, {.queues = 1,
@@ -693,7 +780,7 @@ TEST(KvServiceFeed, PollResyncAfterRingOverrun) {
 template <bool SkipValidation>
 struct ShardTrialShared {
   feed::ChangeFeed<2, SkipValidation> feed{1, 1};
-  std::uint32_t id = 0;
+  std::uint64_t token = 0;
   std::vector<feed::Record> log;
 
   // `quiet` suppresses ADD_FAILURE: the negative control EXPECTS
@@ -701,7 +788,7 @@ struct ShardTrialShared {
   bool drain_and_check(bool quiet) {
     feed::Record buf[4];
     for (;;) {
-      const auto pr = feed.poll(id, buf, 4, no_resync);
+      const auto pr = feed.poll(token, buf, 4, no_resync).value();
       for (unsigned i = 0; i < pr.delivered; ++i) log.push_back(buf[i]);
       if (pr.delivered == 0 && !pr.resynced) break;
     }
@@ -722,7 +809,7 @@ struct ShardTrialShared {
 template <bool SkipValidation>
 ScheduleExplorer::Trial make_shard_trial(bool quiet = false) {
   auto sh = std::make_shared<ShardTrialShared<SkipValidation>>();
-  sh->id = *sh->feed.subscribe(feed::Filter::kShard, 0);
+  sh->token = *sh->feed.subscribe(feed::Filter::kShard, 0);
   ScheduleExplorer::Trial trial;
   trial.bodies.push_back([sh] {
     sh->feed.publish(0, 1, 11);
@@ -731,7 +818,7 @@ ScheduleExplorer::Trial make_shard_trial(bool quiet = false) {
   });
   trial.bodies.push_back([sh] {
     feed::Record buf[3];
-    const auto pr = sh->feed.poll(sh->id, buf, 3, no_resync);
+    const auto pr = sh->feed.poll(sh->token, buf, 3, no_resync).value();
     for (unsigned i = 0; i < pr.delivered; ++i) sh->log.push_back(buf[i]);
   });
   trial.check = [sh, quiet] { return sh->drain_and_check(quiet); };
@@ -745,7 +832,7 @@ ScheduleExplorer::Trial make_torn_trial() {
 struct KeyTrialShared {
   feed::ChangeFeed<2> feed{1, 1};
   std::atomic<std::uint64_t> model{0};  // the "map": key 9's wire value
-  std::uint32_t id = 0;
+  std::uint64_t token = 0;
   std::vector<feed::Record> log;
 
   std::uint64_t read_model() {
@@ -769,7 +856,7 @@ struct KeyTrialShared {
 // sample-before-read from the lossy read-before-sample order.
 ScheduleExplorer::Trial make_key_trial(unsigned ncommits) {
   auto sh = std::make_shared<KeyTrialShared>();
-  sh->id = *sh->feed.subscribe(feed::Filter::kKey, 0, 9);
+  sh->token = *sh->feed.subscribe(feed::Filter::kKey, 0, 9);
   ScheduleExplorer::Trial trial;
   trial.bodies.push_back([sh, ncommits] {
     for (unsigned c = 0; c < ncommits; ++c) sh->commit(11 + c);
@@ -777,17 +864,17 @@ ScheduleExplorer::Trial make_key_trial(unsigned ncommits) {
   trial.bodies.push_back([sh] {
     feed::Record buf[2];
     const auto pr =
-        sh->feed.poll(sh->id, buf, 2, [sh](std::uint64_t) {
+        sh->feed.poll(sh->token, buf, 2, [sh](std::uint64_t) {
           return sh->read_model();
-        });
+        }).value();
     for (unsigned i = 0; i < pr.delivered; ++i) sh->log.push_back(buf[i]);
   });
   trial.check = [sh, ncommits] {
     feed::Record buf[4];
     for (;;) {
-      const auto pr = sh->feed.poll(sh->id, buf, 4, [sh](std::uint64_t) {
+      const auto pr = sh->feed.poll(sh->token, buf, 4, [sh](std::uint64_t) {
         return sh->read_model();
-      });
+      }).value();
       for (unsigned i = 0; i < pr.delivered; ++i) sh->log.push_back(buf[i]);
       if (pr.delivered == 0 && !pr.resynced) break;
     }

@@ -528,6 +528,85 @@ TEST(KvServiceTxn, DuplicateKeysCompleteInvalid) {
   EXPECT_EQ(wit[1], Txn::wire(40));
 }
 
+// A multi-key op needs a key set the executor can run: one to kMaxTxnKeys
+// keys, with exactly the value/expected spans the op reads. Anything else
+// — including a kMulti* op sent through the single-key submit(), on a
+// fresh or a reused ticket slot — completes kInvalid with no effect.
+TEST(KvServiceTxn, MultiOpWithoutKeySetCompletesInvalid) {
+  ManualTxnService s;
+  // Fresh slot: no key set was ever written.
+  EXPECT_EQ(s.finish(s.svc.submit(s.c, Op::kMultiGet, 5)).status,
+            Status::kInvalid);
+
+  // Reused slot: the previous tenant's key set must not be re-applied.
+  const std::uint64_t keys[] = {3, 4};
+  const std::uint64_t vals[] = {30, 40};
+  ASSERT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiPut, keys, vals)).status,
+      Status::kOk);
+  EXPECT_EQ(s.finish(s.svc.submit(s.c, Op::kMultiPut, 9, 99)).status,
+            Status::kInvalid);
+
+  // Malformed key sets through submit_multi.
+  std::uint64_t wide[svc::kMaxTxnKeys + 1];
+  std::uint64_t wide_vals[svc::kMaxTxnKeys + 1];
+  for (unsigned i = 0; i <= svc::kMaxTxnKeys; ++i) {
+    wide[i] = 20 + i;
+    wide_vals[i] = i;
+  }
+  const std::uint64_t dess[] = {Txn::wire(31), Txn::wire(41)};
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiGet, {})).status,
+            Status::kInvalid)
+      << "empty key set";
+  EXPECT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiPut, wide, wide_vals)).status,
+      Status::kInvalid)
+      << "more than kMaxTxnKeys keys";
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiPut, keys,
+                                        std::span(vals, 1)))
+                .status,
+            Status::kInvalid)
+      << "values shorter than keys";
+  EXPECT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiCas, keys, dess)).status,
+      Status::kInvalid)
+      << "kMultiCas without expected values";
+  EXPECT_EQ(
+      s.finish(s.svc.submit_multi(s.c, Op::kMultiGet, keys, vals)).status,
+      Status::kInvalid)
+      << "kMultiGet carrying values it does not read";
+
+  // No effect: 3 and 4 keep their values, 9 and the wide keys stay absent.
+  const std::uint64_t all[] = {3, 4, 9, 20};
+  std::uint64_t got[4];
+  EXPECT_EQ(s.finish(s.svc.submit_multi(s.c, Op::kMultiGet, all), got).status,
+            Status::kOk);
+  EXPECT_EQ(got[0], Txn::wire(30));
+  EXPECT_EQ(got[1], Txn::wire(40));
+  EXPECT_EQ(got[2], Txn::kAbsent);
+  EXPECT_EQ(got[3], Txn::kAbsent);
+
+  // Without Config::txn, a multi-key op completes kOverload, well-formed
+  // or not.
+  Sub sub;
+  Svc plain(sub, {.queues = 1,
+                  .workers = 0,
+                  .max_sessions = 1,
+                  .tickets_per_session = 2,
+                  .use_rings = false,
+                  .map = {.shards = 1, .buckets_per_shard = 4,
+                          .capacity_per_shard = 8}});
+  auto c = plain.connect();
+  auto w = plain.make_worker_ctx();
+  const auto t1 = plain.submit_multi(c, Op::kMultiPut, keys, vals);
+  const auto t2 = plain.submit(c, Op::kMultiGet, 3);
+  ASSERT_TRUE(t1.has_value());
+  ASSERT_TRUE(t2.has_value());
+  EXPECT_EQ(plain.pump(w), 2u);
+  EXPECT_EQ(plain.poll(c, *t1)->status, Status::kOverload);
+  EXPECT_EQ(plain.poll(c, *t2)->status, Status::kOverload);
+}
+
 // ---------------------------------------------------------------------
 // Pipeline linearizability under controlled schedules. Two client
 // sessions submit overlapping operations on a 3-key space through the
