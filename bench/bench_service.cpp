@@ -1,6 +1,8 @@
 // E13 (service pipeline): the wait-free KV request pipeline (src/svc/) —
-// SPSC client rings -> router -> per-shard MS-queues (the paper's LL/SC +
+// SPSC client rings -> routing -> per-shard MS-queues (the paper's LL/SC +
 // SMR on the serving hot path) -> batching executors over the sharded map.
+// Routing is a worker role: each worker pass try-claims it, drains the
+// rings into the queues, then executes.
 //
 // Sweeps:
 //   * executor batch size B in {1,4,16,64} x substrate (fig4 CAS-backed vs
@@ -8,9 +10,10 @@
 //     queue's reclaimer bracket and the shard rotor, so B=16 should beat
 //     B=1;
 //   * closed-loop client scaling {1,2,4,8} at B=16;
-//   * ingress mode: full ring+router pipeline vs clients enqueueing into
-//     the shard queues directly (one hop shorter, one contention point
-//     more);
+//   * ingress mode: full ring pipeline vs clients enqueueing into the
+//     shard queues directly (one hop shorter, one contention point more).
+//     The table's "rings+router" row is the ring pipeline with the rings
+//     routed by whichever worker holds the routing claim;
 //   * dispatch-queue count {1,4} at 8 clients (the MPMC bottleneck);
 //   * open-loop Poisson arrivals at an under-capacity and an over-capacity
 //     rate: latency is measured from the SCHEDULED arrival, so queueing
@@ -76,8 +79,9 @@ typename Svc::Config svc_config(unsigned clients, unsigned batch,
 
 // Substrate process-slot budget for one run: BoundedLlsc pids are leased
 // per ThreadCtx and never returned, so size for the lifetime total — each
-// session and the router hold one queue-ctx per dispatch queue, each
-// worker additionally a map ctx, plus the preloader and slack.
+// session and each worker hold one queue-ctx per dispatch queue (a worker
+// routes with its own), each worker additionally a map ctx, plus the
+// preloader and slack.
 unsigned fig7_processes(unsigned clients, unsigned queues) {
   return clients * queues + 3 * (queues + 1) + 8;
 }

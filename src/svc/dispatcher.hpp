@@ -63,7 +63,7 @@ enum class Status : std::uint8_t {
               // kInsert on a present key, kMultiCas comparison mismatch:
               // the "false/absent" return
   kOverload,  // completed WITH an error and no effect (EBUSY): shard
-              // queue full at the router, a write's node pool exhausted,
+              // queue full at routing, a write's node pool exhausted,
               // or a multi-key / feed verb whose mode is off
   kInvalid,   // malformed txn payload (a value past TxnKv::kMaxValue, a key
               // named twice in one kMulti*, a kMulti* without a runnable

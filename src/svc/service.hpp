@@ -1,35 +1,37 @@
 // KvService: the wait-free request pipeline over the sharded map.
 //
-//   client --(SPSC ring, 1 per session)--> router --+
-//   client --------(direct dispatch)----------------+--> per-shard MPMC
-//                                                        MS-queues (LL/SC
-//                                                        + Reclaimer)
-//                                                   workers pop batches of
-//                                                   <= B, execute on the
-//                                                   ShardedHashMap, publish
-//                                                   seqlock responses the
-//                                                   clients poll
+//   client --(SPSC ring, 1 per session)--> routing --+
+//   client --------(direct dispatch)-----------------+--> per-shard MPMC
+//                                                         MS-queues (LL/SC
+//   routing: a role the workers claim in turn,            + Reclaimer)
+//   not a thread of its own (see serve())            workers pop batches of
+//                                                    <= B, execute on the
+//                                                    ShardedHashMap, publish
+//                                                    seqlock responses the
+//                                                    clients poll
 //
 // End-to-end progress argument (docs/SERVICE.md has the long form): no
 // stage ever waits for another stage inside an operation. Admission either
 // takes a free ticket or returns EBUSY (shed) immediately; ring push either
-// succeeds or sheds; the router either enqueues or completes the ticket
-// with kOverload; queue and map operations are lock-free through the
-// paper's LL/SC; response publication is a single release store. The only
-// waiting in the subsystem is *voluntary* (wait() spinning on a ticket the
-// caller chose to block on, idle workers between pumps), through the
-// futex-free SpinWait.
+// succeeds or sheds; routing either enqueues or completes the ticket with
+// kOverload; queue and map operations are lock-free through the paper's
+// LL/SC; response publication is a single release store. The only waiting
+// in the subsystem is *voluntary* (wait() spinning on a ticket the caller
+// chose to block on, idle workers between passes), through the futex-free
+// SpinWait. A preempted claim holder delays routing, never execution.
 //
 // Sessions reuse the ProcessRegistry slot discipline: connect() leases a
 // dense session id whose preallocated SessionState (ticket slots + ring)
 // is recycled across connects; ticket-slot generations are monotonic per
 // slot across reuse, so a stale done word can never match a fresh ticket.
 //
-// Shutdown contract: stop() flips draining (subsequent submits shed), then
-// drains rings and queues so every ALREADY-SUBMITTED ticket completes
-// (counted as svc_drain), then joins. Callers must stop submitting before
-// calling stop() concurrently with in-flight submits — the graceful-drain
-// guarantee covers requests, not racing admission calls.
+// Shutdown contract: stop() flips draining (subsequent submits shed), and
+// the workers drain rings before queues: with rings on, a worker exits
+// only after a pass that held the routing claim, routed nothing and found
+// every shard queue empty. Every ALREADY-SUBMITTED ticket thus completes
+// (counted as svc_drain) before stop() joins. Callers must stop submitting
+// before calling stop() concurrently with in-flight submits — the
+// graceful-drain guarantee covers requests, not racing admission calls.
 #pragma once
 
 #include <algorithm>
@@ -94,7 +96,7 @@ class KvService {
     unsigned batch = 16;                 // B: max requests per executor pop
     unsigned max_sessions = 8;           // concurrent clients
     std::uint32_t tickets_per_session = 64;  // in-flight window W
-    // Ingress mode: true = client -> ring -> router -> shard queue (the
+    // Ingress mode: true = client -> ring -> routing -> shard queue (the
     // full pipeline), false = client enqueues into the shard queue itself.
     bool use_rings = true;
     // Transaction mode: values live in the txn layer's per-node Mcas
@@ -166,9 +168,15 @@ class KvService {
     std::unique_ptr<typename Txn::ThreadCtx> tctx;
   };
 
-  // The observer pump/pump_session/pump_router run when given none.
+  // The observer serve/pump/pump_session/pump_router run when given none.
   struct NoObserver {
     void operator()(std::uint64_t, const Response&) const {}
+  };
+
+  struct Pass {  // what one serve() pass did
+    bool routing = false;   // held the routing claim (rings mode)
+    unsigned routed = 0;    // ring entries moved while holding it
+    unsigned executed = 0;  // requests the shard-queue pump completed
   };
 
   explicit KvService(S& substrate, Config cfg = {})
@@ -176,9 +184,10 @@ class KvService {
         worker_ceiling_(std::max(cfg.workers, cfg.max_workers)),
         // Concurrent ThreadCtx holders across the shard-queue reclaimers
         // and the map reclaimer: one per session, one per worker at the
-        // elastic ceiling, the router, and slack for a manual pumper /
-        // preloader. The ceiling term is doubled: a retiring worker still
-        // holds its ctx while its replacement may already be spinning up.
+        // elastic ceiling (it routes with its own ctx), and two of slack
+        // for manual pumping (router + worker ctx) or a preloader. The
+        // ceiling term is doubled: a retiring worker still holds its ctx
+        // while its replacement may already be spinning up.
         max_threads_(cfg.max_sessions + 2 * worker_ceiling_ + 2),
         disp_(substrate, max_threads_, cfg.queues, cfg.queue_capacity),
         map_(substrate, max_threads_, cfg.map),
@@ -207,9 +216,6 @@ class KvService {
       sessions_.push_back(std::make_unique<SessionState>(cfg_));
     }
     if (cfg_.workers > 0) {
-      if (cfg_.use_rings) {
-        router_ = std::thread([this] { router_main(); });
-      }
       std::lock_guard<std::mutex> g(pool_mu_);
       threads_.reserve(worker_ceiling_);
       for (unsigned w = 0; w < cfg_.workers; ++w) {
@@ -371,8 +377,8 @@ class KvService {
   // execution exclusive without blocking — a worker that loses the race
   // just moves to the next queue (the holder is executing the very batch
   // the loser wanted, so system-wide progress is unchanged; a parked
-  // holder stalls only its own queue, the same degradation the SPSC
-  // router already accepts). The release/acquire pair on the claim word
+  // holder stalls only its own queue, as a parked routing-claim holder
+  // stalls only routing). The release/acquire pair on the claim word
   // also carries the happens-before edge that hands the ring's writer
   // role — and the feed-op subscription cursors, which ride the same
   // key-hashed routing — from one worker to the next.
@@ -382,7 +388,7 @@ class KvService {
     const unsigned nq = disp_.queue_count();
     for (unsigned i = 0; i < nq; ++i) {
       const unsigned q = (w.rotor + i) % nq;
-      if (feed_ && !claim_queue(q)) continue;
+      if (feed_ && !try_claim(queue_claims_[q])) continue;
       const unsigned k = disp_.pop_batch(w.dctx, q, w.buf.data(), cfg_.batch);
       if (k != 0) {
         stats::count(stats::Id::kSvcBatch);
@@ -394,19 +400,19 @@ class KvService {
         }
         total += k;
       }
-      if (feed_) release_queue(q);
+      if (feed_) release_claim(queue_claims_[q]);
     }
     w.rotor = nq == 0 ? 0 : (w.rotor + 1) % nq;
     return total;
   }
 
   // Route one session's ring into the shard queues. The ring is SPSC —
-  // its consumer must be unique, which the service's own router thread
-  // guarantees; manual pumpers (tests with cfg.workers == 0) must likewise
-  // dedicate one pumper per session. A full shard queue completes the
-  // ticket with kOverload right here — shedding, not blocking, so a
-  // stalled executor cannot wedge the router. At most one ring's capacity
-  // is moved per call.
+  // its consumer must be unique, which serve()'s routing claim guarantees;
+  // manual pumpers calling this directly (tests with cfg.workers == 0)
+  // must likewise dedicate one pumper per session. A full shard queue
+  // completes the ticket with kOverload right here — shedding, not
+  // blocking, so a stalled executor cannot wedge routing. At most one
+  // ring's capacity is moved per call.
   template <class Observer = NoObserver>
   unsigned pump_session(typename Disp::ThreadCtx& rc, unsigned sid,
                         Observer&& obs = {}) {
@@ -426,7 +432,7 @@ class KvService {
     return moved;
   }
 
-  // One pass over all live session rings (the router thread's loop body).
+  // One pass over all live session rings (the routing half of serve()).
   template <class Observer = NoObserver>
   unsigned pump_router(typename Disp::ThreadCtx& rc, Observer&& obs = {}) {
     unsigned moved = 0;
@@ -435,6 +441,23 @@ class KvService {
       moved += pump_session(rc, sid, obs);
     }
     return moved;
+  }
+
+  // One worker pass (worker_main's loop body): in rings mode, try-claim
+  // routing and route every live ring with this worker's own dispatch ctx;
+  // then pump the shard queues. A loser goes straight to pump(). The claim
+  // keeps each ring's consumer unique, and its release/acquire pair hands
+  // the consumer-private head index and cached tail to the next holder.
+  template <class Observer = NoObserver>
+  Pass serve(WorkerCtx& w, Observer&& obs = {}) {
+    Pass p;
+    if (cfg_.use_rings && try_claim(routing_claim_)) {
+      p.routing = true;
+      p.routed = pump_router(w.dctx, obs);
+      release_claim(routing_claim_);
+    }
+    p.executed = pump(w, obs);
+    return p;
   }
 
   bool queues_empty() const { return disp_.all_empty(); }
@@ -472,20 +495,14 @@ class KvService {
     if (stopped_) return;
     stopped_ = true;
     draining_.store(true, std::memory_order_release);
-    stop_router_.store(true, std::memory_order_release);
-    if (router_.joinable()) router_.join();
-    stop_workers_.store(true, std::memory_order_release);
     {
-      // Barrier against in-flight growth: any spawn_worker() that slipped
-      // past the flag holds pool_mu_ while emplacing, so once we acquire
-      // and release it, threads_ is final (later spawn attempts re-check
-      // stop_workers_ under the same lock and bail).
+      // Barrier against in-flight growth: a spawn_worker() that slipped
+      // past the flag emplaces under pool_mu_, so after this threads_ is
+      // final (later spawns re-check draining_ under the lock and bail).
       std::lock_guard<std::mutex> g(pool_mu_);
     }
     for (auto& t : threads_) t.join();
     threads_.clear();
-    std::lock_guard<std::mutex> g(pool_mu_);
-    live_workers_ = 0;
   }
 
   bool draining() const {
@@ -604,7 +621,7 @@ class KvService {
   // Map a store's write outcome onto the wire Status. kNoSpace (node pool
   // exhausted before anything was written) is an EBUSY-class outcome: the
   // request completed WITH an error and had no effect, same contract as a
-  // router-side shed. kInvalid also had no effect, but retrying the same
+  // shed at routing. kInvalid also had no effect, but retrying the same
   // payload cannot succeed.
   static Status to_status(WriteStatus s) {
     switch (s) {
@@ -783,22 +800,22 @@ class KvService {
       unsigned full_streak = 0;
       std::uint64_t idle_streak = 0;
       for (;;) {
-        const unsigned done = pump(w);
-        if (done > 0) {
+        // Read first: an idle pass begun after draining is final.
+        const bool draining = draining_.load(std::memory_order_acquire);
+        const Pass p = serve(w);
+        if (p.routed + p.executed > 0) {
           sw.reset();
           idle_streak = 0;
-          if (done >= cfg_.batch) {
-            if (++full_streak >= cfg_.grow_streak) {
-              full_streak = 0;
-              spawn_worker();
-            }
-          } else {
+          full_streak = p.executed >= cfg_.batch ? full_streak + 1 : 0;
+          if (full_streak >= cfg_.grow_streak) {
             full_streak = 0;
+            spawn_worker();
           }
           continue;
         }
         full_streak = 0;
-        if (stop_workers_.load(std::memory_order_acquire) &&
+        // With rings on, only a pass that held the claim saw every ring.
+        if (draining && (p.routing || !cfg_.use_rings) &&
             disp_.all_empty()) {
           std::lock_guard<std::mutex> g(pool_mu_);
           --live_workers_;
@@ -812,16 +829,13 @@ class KvService {
   }
 
   // Adds a worker if the pool is below the ceiling and not stopping. The
-  // re-check of stop_workers_ under pool_mu_ pairs with the lock barrier
+  // re-check of draining_ under pool_mu_ pairs with the lock barrier
   // in stop(): either the spawn lands in threads_ before stop() walks it,
   // or it is refused here.
   void spawn_worker() {
     if (worker_ceiling_ <= cfg_.workers) return;  // pool is fixed-size
     std::lock_guard<std::mutex> g(pool_mu_);
-    if (stop_workers_.load(std::memory_order_acquire) ||
-        draining_.load(std::memory_order_acquire)) {
-      return;
-    }
+    if (draining_.load(std::memory_order_acquire)) return;
     if (live_workers_ >= worker_ceiling_) return;
     ++live_workers_;
     threads_.emplace_back([this] { worker_main(); });
@@ -833,37 +847,22 @@ class KvService {
   bool try_retire() {
     std::lock_guard<std::mutex> g(pool_mu_);
     if (live_workers_ <= cfg_.workers) return false;
-    if (stop_workers_.load(std::memory_order_acquire)) return false;
+    if (draining_.load(std::memory_order_acquire)) return false;
     --live_workers_;
     return true;
   }
 
-  // Feed-mode queue exclusivity: acquire on the winning exchange pairs
-  // with the release store in release_queue, ordering the previous
-  // holder's ring publishes and cursor updates before ours.
-  bool claim_queue(unsigned q) {
-    MOIR_YIELD_UPDATE(&queue_claims_[q]);
-    return !queue_claims_[q].exchange(true, std::memory_order_acquire);
+  // Routing and feed-mode queue try-claims: acquire on the winning exchange
+  // pairs with release_claim()'s store, ordering the previous holder's
+  // writes (ring indices, feed publishes, cursors) before ours.
+  static bool try_claim(std::atomic<bool>& claim) {
+    MOIR_YIELD_UPDATE(&claim);
+    return !claim.exchange(true, std::memory_order_acquire);
   }
 
-  void release_queue(unsigned q) {
-    MOIR_YIELD_WRITE(&queue_claims_[q]);
-    queue_claims_[q].store(false, std::memory_order_release);
-  }
-
-  void router_main() {
-    auto rc = disp_.make_ctx();
-    SpinWait sw;
-    for (;;) {
-      if (pump_router(rc) > 0) {
-        sw.reset();
-        continue;
-      }
-      // stop_router_ is set after draining_, so once it is visible no new
-      // ring entries can appear (submits shed) and an empty pass is final.
-      if (stop_router_.load(std::memory_order_acquire)) break;
-      sw.pause();
-    }
+  static void release_claim(std::atomic<bool>& claim) {
+    MOIR_YIELD_WRITE(&claim);
+    claim.store(false, std::memory_order_release);
   }
 
   const Config cfg_;
@@ -890,15 +889,15 @@ class KvService {
   // reg_join/reg_leave counts inside it cannot recurse.
   DynamicRegistry worker_reg_;
   std::vector<std::unique_ptr<SessionState>> sessions_;
-  std::thread router_;
   // Guards live_workers_ and threads_ growth against stop(); workers take
   // it only on scaling decisions, never per request.
   mutable std::mutex pool_mu_;
   unsigned live_workers_ = 0;
   std::vector<std::thread> threads_;
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_router_{false};
-  std::atomic<bool> stop_workers_{false};
+  // Every worker pass writes it; its own line keeps that traffic off
+  // draining_, which every submit reads.
+  alignas(kCacheLine) std::atomic<bool> routing_claim_{false};
   bool stopped_ = false;
 };
 

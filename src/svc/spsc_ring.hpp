@@ -1,7 +1,7 @@
 // Cache-line-padded fixed-capacity SPSC ring + futex-free waiting.
 //
 // One ring per client session carries request handles from the client
-// (single producer) to the service's router (single consumer). The
+// (single producer) to the routing-claim holder (single consumer). The
 // single-producer/single-consumer discipline makes the ring wait-free with
 // plain acquire/release atomics: each side owns its index, only reads the
 // other's, and caches the remote index to avoid touching the shared line
@@ -10,8 +10,8 @@
 // LL/SC constructions — no allocation, no unbounded tags).
 //
 // Nothing ever blocks in here: try_push/try_pop fail immediately when
-// full/empty and the caller decides (the service sheds, the router moves
-// to the next session). SpinWait (util/backoff.hpp, re-exported below) is
+// full/empty and the caller decides (the service sheds, routing moves to
+// the next session). SpinWait (util/backoff.hpp, re-exported below) is
 // the one waiting policy the subsystem uses when a caller *chooses* to
 // wait (client wait(), idle workers): bounded exponential spinning with a
 // CPU relax hint, then std::this_thread::yield() — never a futex or mutex,

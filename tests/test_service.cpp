@@ -1,15 +1,20 @@
 // KvService pipeline: end-to-end round trips through the full
-// ring -> router -> shard-queue -> executor path, shed-on-full admission
-// (window, ring, and queue-pool exhaustion), graceful drain, kInvalid
+// ring -> routing -> shard-queue -> executor path, shed-on-full admission
+// (window, ring, and queue-pool exhaustion), graceful drain, the worker
+// topology (routing is a claimed worker role, not a thread), kInvalid
 // completion of malformed txn payloads, and linearizability of the whole
-// pipeline against SvcSpec under both DFS and PCT controlled schedules.
+// pipeline against SvcSpec under both DFS and PCT controlled schedules,
+// including the routing claim and its planted unclaimed-routing control.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/llsc_traits.hpp"
@@ -155,7 +160,7 @@ TEST(KvService, TicketGenerationReuseAfterDrain) {
   }
 }
 
-// The router's key->queue hash must spread a dense key space evenly:
+// The dispatcher's key->queue hash must spread a dense key space evenly:
 // chi-squared over 1e5 sequential keys into 4 queues, against a cutoff
 // far beyond df=3 noise (p << 1e-4) — catches a route that degenerates
 // to low bits or collapses shards, not ordinary variance.
@@ -279,7 +284,7 @@ TEST(KvService, ShedOnFullWindow) {
 }
 
 // Ring mode back-pressure: a full ring sheds at submit; a full shard-queue
-// node pool makes the ROUTER complete the ticket with kOverload instead of
+// node pool makes ROUTING complete the ticket with kOverload instead of
 // blocking on the executor.
 TEST(KvService, RingAndQueueOverload) {
   // Ring capacity is a compile-time parameter now; this test wants a tiny
@@ -375,6 +380,43 @@ TEST(KvService, DrainCompletesInFlight) {
   }
   EXPECT_FALSE(svc.submit(c, Op::kFind, 0).has_value())
       << "post-stop submits must shed";
+}
+
+// Routing is a worker role, not a thread: a fixed pool of two workers adds
+// exactly two threads to the process, and requests submitted through the
+// rings still complete.
+TEST(KvService, WorkersRouteWithoutRouterThread) {
+  const auto threads = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  // A sanitizer runtime may start a helper thread along with the
+  // process's first thread; start and join one first so the count below
+  // sees the service's threads only.
+  std::thread([] {}).join();
+  Sub sub;
+  const auto before = threads();
+  Svc svc(sub, {.queues = 2,
+                .workers = 2,
+                .max_workers = 0,
+                .batch = 4,
+                .max_sessions = 1,
+                .tickets_per_session = 8,
+                .use_rings = true,
+                .map = {.shards = 2, .buckets_per_shard = 4,
+                        .capacity_per_shard = 64}});
+  EXPECT_EQ(threads() - before, 2) << "one thread per worker, no router";
+  auto c = svc.connect();
+  for (std::uint64_t k = 0; k < 16; ++k) {
+    const auto t = svc.submit(c, Op::kInsert, k, k * 3);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(svc.wait(c, *t).status, Status::kOk);
+  }
+  for (std::uint64_t k = 0; k < 16; ++k) {
+    const auto t = svc.submit(c, Op::kFind, k);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(svc.wait(c, *t).value, k * 3);
+  }
 }
 
 // Drain accounting, deterministically: with manual pumping, completions
@@ -635,6 +677,8 @@ struct LinTrialShared {
   std::vector<Svc::ClientCtx> clients;
   std::vector<Svc::WorkerCtx> workers;
   std::array<std::array<PendingOp, 8>, 2> pending{};
+  // Completions per (session, slot): a handle routed twice completes twice.
+  std::array<std::array<unsigned, 8>, 2> completions{};
   std::array<std::uint32_t, 2> next_slot{};
   std::array<std::vector<Svc::Ticket>, 2> issued;
 
@@ -660,6 +704,7 @@ struct LinTrialShared {
     return [this](std::uint64_t handle, const svc::Response& r) {
       const unsigned sid = svc::handle_session(handle);
       const PendingOp& p = pending[sid][svc::handle_slot(handle)];
+      ++completions[sid][svc::handle_slot(handle)];
       rec.add(sid, sid, p.kind, p.arg, ret_of(p.kind, r), p.inv);
     };
   }
@@ -694,14 +739,32 @@ struct LinTrialShared {
     issued[t].push_back(*ticket);
   }
 
-  // Post-join: everything was drained by the bodies, so one poll sweep
-  // consumes every ticket (required by the disconnect assertion), then
-  // the merged history is checked.
+  // Post-join, on one thread: worker passes until one moves nothing. A
+  // lone caller always wins the routing claim, so that pass saw every
+  // ring and every queue empty.
+  void settle() {
+    for (;;) {
+      const auto p = svc.serve(workers[0], observer());
+      if (p.routed + p.executed == 0) break;
+    }
+  }
+
+  // Post-join: everything was drained, so one poll sweep consumes every
+  // ticket (required by the disconnect assertion); each issued ticket
+  // must have completed exactly once; then the merged history is checked.
   bool check() {
     for (unsigned t = 0; t < 2; ++t) {
       for (const auto& ticket : issued[t]) {
         const auto r = svc.poll(clients[t], ticket);
         if (!r.has_value()) return false;  // drain failed to complete it
+      }
+    }
+    for (unsigned t = 0; t < 2; ++t) {
+      unsigned total = 0;
+      for (const unsigned n : completions[t]) total += n;
+      if (total != issued[t].size()) return false;
+      for (const auto& ticket : issued[t]) {
+        if (completions[t][ticket.slot] != 1) return false;
       }
     }
     LinearizabilityChecker<SvcSpec> checker;
@@ -806,6 +869,109 @@ TEST(PctSmoke, ServicePipeline) {
       << "non-linearizable pipeline history under schedule "
       << r.schedule_string();
   EXPECT_EQ(r.trials, opts.runs);
+}
+
+// ---------------------------------------------------------------------
+// Routing as a claimed worker role. Two bodies each submit through their
+// own ring session, then run a worker pass on one shared service. Either
+// pass may route either ring, so only serve()'s claim keeps each SPSC
+// ring to one consumer. check() settles what the bodies left, then
+// requires every issued ticket to complete exactly once and the history
+// to linearize against SvcSpec. The planted control (`claimed == false`)
+// runs pump_router + pump without the claim: two consumers on one ring,
+// so a handle popped by both completes twice.
+// ---------------------------------------------------------------------
+testing::ScheduleExplorer::Trial make_routing_trial(bool claimed) {
+  auto sh = std::make_shared<LinTrialShared>(lin_config(true));
+  auto pass = [sh, claimed](unsigned t) {
+    Svc::WorkerCtx& w = sh->workers[t];
+    if (claimed) {
+      sh->svc.serve(w, sh->observer());
+    } else {
+      sh->svc.pump_router(w.dctx, sh->observer());
+      sh->svc.pump(w, sh->observer());
+    }
+  };
+  testing::ScheduleExplorer::Trial trial;
+  // Body 0's second pass puts a ring pop near the end of its run, where
+  // DFS (deepest branch first) reaches the interleavings that open it.
+  trial.bodies.push_back([sh, pass] {
+    sh->submit_op(0, OpKind::kMapInsert, 0, 10);
+    pass(0);
+    pass(0);
+  });
+  trial.bodies.push_back([sh, pass] {
+    sh->submit_op(1, OpKind::kMapUpsert, 0, 20);
+    pass(1);
+  });
+  trial.check = [sh] {
+    sh->settle();
+    return sh->check();
+  };
+  return trial;
+}
+
+// The DFS budget: the planted control below is caught inside it, so the
+// real pass explores the same part of the tree clean.
+constexpr std::size_t kRoutingDfsTrials = 2500;
+
+TEST(KvService, ExploreRoutingClaim) {
+  const auto r = testing::ScheduleExplorer::explore(
+      [] { return make_routing_trial(true); },
+      testing::ExploreOptions{.max_trials = scaled_budget(kRoutingDfsTrials),
+                              .sleep_sets = true});
+  EXPECT_FALSE(r.violation_found)
+      << "claimed routing lost or repeated a request under schedule "
+      << r.schedule_string();
+  EXPECT_GT(r.trials, 10u);
+}
+
+TEST(PctSmoke, RoutingClaim) {
+  const testing::PctOptions opts{
+      .runs = scaled_budget(60),
+      .depth = 3,
+      .change_range = 96,
+      .seed = base_seed() + 41,
+  };
+  const auto r = testing::ScheduleExplorer::pct_explore(
+      [] { return make_routing_trial(true); }, opts);
+  EXPECT_FALSE(r.violation_found)
+      << "claimed routing lost or repeated a request under schedule "
+      << r.schedule_string();
+  EXPECT_EQ(r.trials, opts.runs);
+}
+
+TEST(NegativeControl, DfsCatchesUnclaimedRouting) {
+  const auto make_trial = [] { return make_routing_trial(false); };
+  const auto r = testing::ScheduleExplorer::explore(
+      make_trial,
+      testing::ExploreOptions{.max_trials = scaled_budget(kRoutingDfsTrials),
+                              .sleep_sets = true});
+  ASSERT_TRUE(r.violation_found)
+      << "DFS lost the planted second ring consumer (trials=" << r.trials
+      << ")";
+  const auto parsed = testing::Schedule::parse(r.schedule_string());
+  ASSERT_TRUE(parsed.has_value()) << r.schedule_string();
+  EXPECT_FALSE(testing::ScheduleExplorer::replay(make_trial, *parsed))
+      << "schedule " << r.schedule_string() << " did not replay the bug";
+}
+
+TEST(NegativeControl, PctCatchesUnclaimedRouting) {
+  const auto make_trial = [] { return make_routing_trial(false); };
+  const testing::PctOptions opts{
+      .runs = scaled_budget(400),
+      .depth = 3,
+      .change_range = 96,
+      .seed = base_seed() + 43,
+  };
+  const auto r = testing::ScheduleExplorer::pct_explore(make_trial, opts);
+  ASSERT_TRUE(r.violation_found)
+      << "PCT lost the planted second ring consumer (runs=" << r.trials
+      << ")";
+  const auto parsed = testing::Schedule::parse(r.schedule_string());
+  ASSERT_TRUE(parsed.has_value()) << r.schedule_string();
+  EXPECT_FALSE(testing::ScheduleExplorer::replay(make_trial, *parsed))
+      << "schedule " << r.schedule_string() << " did not replay the bug";
 }
 
 }  // namespace
