@@ -56,8 +56,8 @@ double mops_of(const std::string& name) {
 }
 
 // Lifetime ThreadCtx budget per run: the worker threads plus the
-// preloader and the post-run checker (pids are leased per ctx, never
-// returned).
+// preloader and the post-run checker (the Figure 7 substrate's pids are
+// leased per ctx and never returned).
 constexpr unsigned kCtxBudget = kThreads + 4;
 
 // Every column shares the TxnKv duck-typed interface: ctor(Map&,

@@ -33,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "core/slot_stack.hpp"
 #include "core/tag_queue.hpp"
 #include "core/word_provider.hpp"
@@ -153,7 +153,7 @@ class BoundedLlsc {
   }
 
   ThreadCtx make_ctx() {
-    return ThreadCtx(registry_.register_process(), k_, tag_count_, nk_,
+    return ThreadCtx(registry_.acquire(), k_, tag_count_, nk_,
                      provider_.make_ctx());
   }
 
@@ -275,7 +275,7 @@ class BoundedLlsc {
   const unsigned k_;
   const unsigned nk_;
   const std::uint32_t tag_count_;  // 2Nk+1
-  ProcessRegistry registry_;
+  LeaseRegistry<> registry_;
   // A: array[0..N-1][0..k-1] of wordtype (row-major).
   std::unique_ptr<std::atomic<std::uint64_t>[]> announce_;
 };

@@ -51,7 +51,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "core/slot_stack.hpp"
 #include "platform/yield_point.hpp"
 #include "reclaim/bw_allocator.hpp"
@@ -138,7 +138,7 @@ class BwLlscImpl {
       }
       for (const std::uint32_t d : limbo_) domain_->push_orphan(d);
       limbo_.clear();
-      domain_->registry_.release_process(pid_);
+      domain_->registry_.release(pid_);
     }
 
     unsigned pid() const { return pid_; }
@@ -183,7 +183,7 @@ class BwLlscImpl {
   }
 
   ThreadCtx make_ctx() {
-    return ThreadCtx(this, registry_.register_process(), k_, pool_.make_ctx());
+    return ThreadCtx(this, registry_.acquire(), k_, pool_.make_ctx());
   }
 
   // Quiescent-only, matching every other substrate's init_var contract. A
@@ -444,7 +444,7 @@ class BwLlscImpl {
   const unsigned k_;
   const unsigned nk_;
   const std::uint32_t threshold_;
-  ProcessRegistry registry_;
+  LeaseRegistry<> registry_;
   // A: array[0..N-1][0..k-1] of descriptor indices (kNone = empty).
   std::unique_ptr<std::atomic<std::uint32_t>[]> ann_;
   Pool pool_;

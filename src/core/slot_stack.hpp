@@ -16,7 +16,7 @@ namespace moir {
 
 class SlotStack {
  public:
-  explicit SlotStack(unsigned k) : slots_(k) {
+  explicit SlotStack(unsigned k) : k_(k), slots_(k) {
     // initially {0, ..., k-1}; pop order is irrelevant to correctness.
     for (unsigned i = 0; i < k; ++i) slots_[i] = k - 1 - i;
   }
@@ -31,15 +31,14 @@ class SlotStack {
   }
 
   void push(unsigned slot) {
-    MOIR_ASSERT_MSG(slots_.size() < slots_.capacity() ||
-                        slots_.size() < slots_.capacity() + 1,
-                    "slot pushed twice");
+    MOIR_ASSERT_MSG(slots_.size() < k_, "slot pushed twice");
     slots_.push_back(slot);
   }
 
   std::size_t available() const { return slots_.size(); }
 
  private:
+  unsigned k_;
   std::vector<unsigned> slots_;
 };
 

@@ -33,7 +33,7 @@
 #include <span>
 #include <utility>
 
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "core/word_provider.hpp"
 #include "platform/yield_point.hpp"
 #include "stats/stats.hpp"
@@ -102,7 +102,7 @@ class WideLlsc {
   }
 
   ThreadCtx make_ctx() {
-    return ThreadCtx{registry_.register_process(), provider_.make_ctx()};
+    return ThreadCtx{registry_.acquire(), provider_.make_ctx()};
   }
 
   unsigned width() const { return w_; }
@@ -282,7 +282,7 @@ class WideLlsc {
   Provider provider_;
   const unsigned n_;
   const unsigned w_;
-  ProcessRegistry registry_;
+  LeaseRegistry<> registry_;
   // A: array[0..N-1][0..W-1] of valtype (chunk values), row-major.
   std::unique_ptr<std::atomic<std::uint64_t>[]> announce_;
 };

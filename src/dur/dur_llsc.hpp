@@ -43,9 +43,9 @@
 // P2 would also skip).
 //
 // Dynamic joining: where figbw sizes its announcement array for a fixed N
-// at construction, figdur leases member ids from a DynamicRegistry (join/
-// leave under load, ids dense and reused) and grows the announcement store
-// on demand in segments of kSegMembers members, installed by CAS on a
+// at construction, figdur leases member ids from a counted LeaseRegistry
+// (join/leave under load, ids dense and reused) and grows the announcement
+// store on demand in segments of kSegMembers members, installed by CAS on a
 // segment-pointer table (losing allocators delete their copy). The scan
 // walks only [0, high_water) and the retire threshold scales with the
 // current high-water mark, so a mostly-idle wide ceiling costs nothing.
@@ -67,7 +67,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/dynamic_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "core/slot_stack.hpp"
 #include "dur/pmem.hpp"
 #include "platform/yield_point.hpp"
@@ -164,7 +164,7 @@ class DurLlscImpl {
       }
       for (const std::uint32_t d : limbo_) domain_->push_orphan(d);
       limbo_.clear();
-      domain_->reg_.leave(mid_);
+      domain_->reg_.release(mid_);
     }
 
     unsigned member_id() const { return mid_; }
@@ -226,11 +226,9 @@ class DurLlscImpl {
   // Joins the membership (growing the announcement store if this id lands
   // in a segment nobody has touched yet) and leases allocator cache state.
   // Unlike figbw there is no fixed N to outgrow: join under load is the
-  // point of the dynamic registry.
+  // point of the dynamic membership; only max_members bounds it.
   ThreadCtx make_ctx() {
-    const unsigned mid = reg_.join();
-    MOIR_ASSERT_MSG(mid < reg_.max_members(),
-                    "membership ceiling exceeded; raise Config::max_members");
+    const unsigned mid = reg_.acquire();
     ensure_segment(mid / kSegMembers);
     return ThreadCtx(this, mid, k_, pool_.make_ctx());
   }
@@ -376,7 +374,7 @@ class DurLlscImpl {
   }
 
   unsigned k() const { return k_; }
-  DynamicRegistry& registry() { return reg_; }
+  LeaseRegistry<true>& registry() { return reg_; }
   PmemDomain& pmem() { return pmem_; }
 
   // --- crash / recovery ----------------------------------------------------
@@ -437,9 +435,9 @@ class DurLlscImpl {
   }
 
   // Announcement slot for (member, slot). The member's segment is
-  // guaranteed installed: join() ensured it before the ctx existed.
+  // guaranteed installed: make_ctx() ensured it before the ctx existed.
   std::atomic<std::uint32_t>& announce(unsigned mid, unsigned slot) {
-    MOIR_ASSERT(mid < reg_.max_members() && slot < k_);
+    MOIR_ASSERT(mid < reg_.capacity() && slot < k_);
     std::atomic<std::uint32_t>* seg =
         segments_[mid / kSegMembers].load(std::memory_order_seq_cst);
     MOIR_ASSERT(seg != nullptr);
@@ -581,7 +579,7 @@ class DurLlscImpl {
   const unsigned k_;
   const std::uint32_t chunk_;
   const std::uint32_t fixed_threshold_;
-  DynamicRegistry reg_;
+  LeaseRegistry<true> reg_;
   const unsigned n_segments_;
   // Announcement segments, installed on demand (kSegMembers * k slots each).
   std::unique_ptr<std::atomic<std::atomic<std::uint32_t>*>[]> segments_;

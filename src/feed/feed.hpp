@@ -40,13 +40,12 @@
 // caller re-reads whatever map state it cares about after the poll
 // returns (examples/kv_watch.cpp), the same sample-first order.
 //
-// Subscriber slots are DynamicRegistry leases gated by an explicit count
-// (the registry asserts past its ceiling rather than failing, so the gate
-// is what turns "feed full" into a shedding kOverload at the service).
-// Callers name a subscription by an opaque generation-stamped token, and
-// poll()/unsubscribe() refuse one that is not live: a forged, stale, or
-// double-freed token cannot underflow the gate, over-free the registry, or
-// reach the cursor of a subscription that has since recycled the slot.
+// Subscriber slots are counted LeaseRegistry leases; a refused
+// try_acquire() is what turns "feed full" into a shedding kOverload at the
+// service. Callers name a subscription by an opaque generation-stamped
+// token, and poll()/unsubscribe() refuse one that is not live: a forged,
+// stale, or double-freed token cannot over-free the registry or reach the
+// cursor of a subscription that has since recycled the slot.
 #pragma once
 
 #include <atomic>
@@ -55,7 +54,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/dynamic_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "feed/broadcast_ring.hpp"
 #include "stats/stats.hpp"
 #include "util/assertion.hpp"
@@ -80,7 +79,6 @@ class ChangeFeed {
 
   ChangeFeed(unsigned shards, unsigned max_subscribers)
       : shards_(shards),
-        max_subscribers_(max_subscribers),
         reg_(max_subscribers),
         subs_(std::make_unique<Subscription[]>(max_subscribers)) {
     MOIR_ASSERT(shards >= 1 && max_subscribers >= 1);
@@ -91,10 +89,8 @@ class ChangeFeed {
   }
 
   unsigned shards() const { return shards_; }
-  unsigned max_subscribers() const { return max_subscribers_; }
-  unsigned active_subscribers() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  unsigned max_subscribers() const { return reg_.capacity(); }
+  unsigned active_subscribers() const { return reg_.active(); }
   Ring& ring(unsigned shard) { return *rings_[shard]; }
   const Ring& ring(unsigned shard) const { return *rings_[shard]; }
 
@@ -115,19 +111,9 @@ class ChangeFeed {
   std::optional<std::uint64_t> subscribe(Filter filter, unsigned shard,
                                          std::uint64_t key = 0) {
     MOIR_ASSERT(shard < shards_);
-    // Gate before join(): DynamicRegistry asserts past its ceiling, the
-    // count turns exhaustion into a recoverable refusal instead.
-    unsigned n = count_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (n >= max_subscribers_) return std::nullopt;
-      if (count_.compare_exchange_weak(n, n + 1,
-                                       std::memory_order_relaxed,
-                                       std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    const std::uint32_t id = reg_.join();
-    Subscription& sub = subs_[id];
+    const std::optional<unsigned> id = reg_.try_acquire();
+    if (!id) return std::nullopt;
+    Subscription& sub = subs_[*id];
     sub.filter = filter;
     sub.shard = shard;
     sub.key = key;
@@ -138,7 +124,7 @@ class ChangeFeed {
     // fields above to whoever validates the token (live()).
     const std::uint64_t token =
         ((gen_.fetch_add(1, std::memory_order_relaxed) & 0xffffffffu) << 32) |
-        (id + 1);
+        (*id + 1);
     sub.token.store(token, std::memory_order_release);
     return token;
   }
@@ -153,8 +139,7 @@ class ChangeFeed {
     if (sub == nullptr || !sub->token.compare_exchange_strong(expected, 0)) {
       return false;
     }
-    reg_.leave(static_cast<std::uint32_t>(token) - 1);
-    count_.fetch_sub(1, std::memory_order_relaxed);
+    reg_.release(static_cast<std::uint32_t>(token) - 1);
     return true;
   }
 
@@ -225,18 +210,16 @@ class ChangeFeed {
   // adds no step to the poll path the explorers enumerate.
   Subscription* live(std::uint64_t token) {
     const std::uint64_t low = token & 0xffffffffu;
-    if (low == 0 || low > max_subscribers_) return nullptr;
+    if (low == 0 || low > reg_.capacity()) return nullptr;
     Subscription& sub = subs_[low - 1];
     return sub.token.load(std::memory_order_acquire) == token ? &sub
                                                               : nullptr;
   }
 
   const unsigned shards_;
-  const unsigned max_subscribers_;
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::atomic<unsigned> count_{0};  // gate: leases handed out
   std::atomic<std::uint64_t> gen_{1};  // token generations (subscribe)
-  DynamicRegistry reg_;
+  LeaseRegistry<true> reg_;
   std::unique_ptr<Subscription[]> subs_;
 };
 

@@ -10,12 +10,18 @@
 //
 // Encoding trick: the STM's transaction body receives only (olds, arg).
 // MCAS needs the expected/desired vectors in the body, and helpers may run
-// the body on the owner's behalf, so the vectors must live in memory that
-// is stable for the transaction's entire lifetime including stragglers.
-// The STM's descriptor-quiescence protocol gives exactly that lifetime: a
-// process's next transaction begins only after all helpers of its previous
-// one have drained. So each process owns one Spec slot here, rewritten
-// only between its own transactions, and `arg` carries a pointer to it.
+// the body on the owner's behalf, so each pid owns one Spec slot here and
+// `arg` carries a pointer to it. The slot's next writer (the owner's next
+// MCAS, or the pid's next holder's first) rewrites it BEFORE
+// Stm::try_transact bumps seq and drains the previous transaction's
+// helpers, so a stale helper of a finished transaction may still be
+// reading it in apply_spec. Its write-back cannot land: every cell of that
+// incarnation is already released, and no cell is locked with that
+// (pid, seq) again until the next bump-and-drain, which waits for the
+// helper. (At most its torn `news` make it draw one spare version-clock
+// value, which only has to be monotone.) The Spec words are relaxed
+// atomics, plain moves on x86, so that benign overlap is not a C++ data
+// race either.
 //
 // An MCAS whose comparison fails still COMMITS as a transaction — it just
 // writes back the old values (a no-op). The boolean MCAS result is derived
@@ -23,6 +29,7 @@
 // lock-free progress: an MCAS attempt never retries at this layer.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -76,11 +83,11 @@ class Mcas {
     MOIR_ASSERT(expected.size() == n && desired.size() == n);
     MOIR_ASSERT(witnessed.empty() || witnessed.size() == n);
 
-    Spec& spec = *specs_[ctx.pid];
+    Spec& spec = *specs_[ctx.pid()];
     for (unsigned i = 0; i < n; ++i) {
       MOIR_ASSERT(expected[i] <= kMaxValue && desired[i] <= kMaxValue);
-      spec.expected[i] = expected[i];
-      spec.desired[i] = desired[i];
+      spec.expected[i].store(expected[i], std::memory_order_relaxed);
+      spec.desired[i].store(desired[i], std::memory_order_relaxed);
     }
 
     Stm::TxResult result;
@@ -106,10 +113,10 @@ class Mcas {
     MOIR_ASSERT(n >= 1 && n <= kMaxWords && desired.size() == n);
     MOIR_ASSERT(olds.empty() || olds.size() == n);
 
-    Spec& spec = *specs_[ctx.pid];
+    Spec& spec = *specs_[ctx.pid()];
     for (unsigned i = 0; i < n; ++i) {
       MOIR_ASSERT(desired[i] <= kMaxValue);
-      spec.desired[i] = desired[i];
+      spec.desired[i].store(desired[i], std::memory_order_relaxed);
     }
     const auto result = stm_.transact(ctx, addrs, &apply_put,
                                       reinterpret_cast<std::uint64_t>(&spec));
@@ -146,9 +153,9 @@ class Mcas {
   Stm::Stats stats() const { return stm_.stats(); }
 
  private:
-  struct Spec {
-    std::uint64_t expected[kMaxWords];
-    std::uint64_t desired[kMaxWords];
+  struct Spec {  // relaxed atomics: see the header on stale helpers
+    std::atomic<std::uint64_t> expected[kMaxWords];
+    std::atomic<std::uint64_t> desired[kMaxWords];
   };
 
   // Runs inside the STM (including on helpers): write desired iff every
@@ -158,13 +165,14 @@ class Mcas {
     const Spec* spec = reinterpret_cast<const Spec*>(arg);
     bool match = true;
     for (unsigned i = 0; i < n; ++i) {
-      if (olds[i] != spec->expected[i]) {
+      if (olds[i] != spec->expected[i].load(std::memory_order_relaxed)) {
         match = false;
         break;
       }
     }
     for (unsigned i = 0; i < n; ++i) {
-      news[i] = match ? spec->desired[i] : olds[i];
+      news[i] =
+          match ? spec->desired[i].load(std::memory_order_relaxed) : olds[i];
     }
   }
 
@@ -177,7 +185,9 @@ class Mcas {
   static void apply_put(const std::uint64_t* /*olds*/, std::uint64_t* news,
                         unsigned n, std::uint64_t arg) {
     const Spec* spec = reinterpret_cast<const Spec*>(arg);
-    for (unsigned i = 0; i < n; ++i) news[i] = spec->desired[i];
+    for (unsigned i = 0; i < n; ++i) {
+      news[i] = spec->desired[i].load(std::memory_order_relaxed);
+    }
   }
 
   Stm stm_;

@@ -11,10 +11,11 @@
 // Design (ST/Barnes-style cooperative two-phase locking with helping):
 //  * Memory is an array of cells, each a Figure-4 LL/VL/SC variable whose
 //    31-bit payload is either a value or a lock record {owner pid, seq}.
-//  * Each process owns one transaction descriptor, reused across
-//    transactions and versioned by `seq`. All mutations of cells are SCs
-//    whose expected word embeds the substrate tag, so stale helpers can
-//    never corrupt a cell (their SCs fail).
+//  * Each pid owns one transaction descriptor, reused across transactions
+//    (and across the ctxs that lease the pid in turn) and versioned by
+//    `seq`. All mutations of cells are SCs whose expected word embeds the
+//    substrate tag, so stale helpers can never corrupt a cell (their SCs
+//    fail).
 //  * Acquisition is in ascending address order, which rules out help
 //    cycles; a process blocked by a lock helps the lock's owner to
 //    completion, making the construction lock-free: every retry or abort
@@ -35,10 +36,11 @@
 #include <cstdint>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/llsc_from_cas.hpp"
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "platform/yield_point.hpp"
 #include "stats/stats.hpp"
 #include "util/assertion.hpp"
@@ -57,8 +59,30 @@ class Stm {
   static constexpr unsigned kMaxTxCells = 8;
   static constexpr std::uint64_t kMaxValue = (1u << 31) - 1;
 
-  struct ThreadCtx {
-    unsigned pid = 0;
+  // Move-only lease on a pid, returned when the ctx is destroyed. The
+  // descriptor and its seq live in desc_[pid], not here, so the pid's next
+  // holder continues the incarnation sequence: its first try_transact
+  // bumps seq and drains helpers exactly as this holder's next
+  // transaction would have. `n_processes` thus bounds concurrent ctxs.
+  class ThreadCtx {
+   public:
+    ThreadCtx(ThreadCtx&& other) noexcept
+        : owner_(std::exchange(other.owner_, nullptr)), pid_(other.pid_) {}
+    ThreadCtx& operator=(ThreadCtx&&) = delete;
+    ThreadCtx(const ThreadCtx&) = delete;
+
+    ~ThreadCtx() {
+      if (owner_ != nullptr) owner_->registry_.release(pid_);
+    }
+
+    unsigned pid() const { return pid_; }
+
+   private:
+    friend class Stm;
+    ThreadCtx(Stm* owner, unsigned pid) : owner_(owner), pid_(pid) {}
+
+    Stm* owner_;
+    unsigned pid_;
   };
 
   Stm(unsigned n_processes, std::size_t n_cells)
@@ -68,7 +92,7 @@ class Stm {
     // cells_ value-initialized all cells to 0 already.
   }
 
-  ThreadCtx make_ctx() { return ThreadCtx{registry_.register_process()}; }
+  ThreadCtx make_ctx() { return ThreadCtx(this, registry_.acquire()); }
 
   std::size_t size() const { return cells_.size(); }
 
@@ -122,7 +146,7 @@ class Stm {
       for (const std::uint32_t a : addrs) __builtin_prefetch(&stamps_[a], 1);
     }
 
-    Descriptor& d = *desc_[ctx.pid];
+    Descriptor& d = *desc_[ctx.pid()];
     // Turn away new helpers, then wait for registered ones to drain.
     const std::uint32_t seq =
         d.seq.fetch_add(1, std::memory_order_seq_cst) + 1;
@@ -147,7 +171,7 @@ class Stm {
     d.status.store(Status::make(seq, Status::kActive),
                    std::memory_order_seq_cst);
 
-    run_phases(d, ctx.pid, seq, /*depth=*/0);
+    run_phases(d, ctx.pid(), seq, /*depth=*/0);
 
     const std::uint64_t st = d.status.load(std::memory_order_seq_cst);
     if (Status::state(st) != Status::kCommitted) {
@@ -554,7 +578,7 @@ class Stm {
   std::atomic<std::uint64_t>* stamps_ = nullptr;  // one per cell
   std::vector<Cells::Var> cells_;
   std::vector<Padded<Descriptor>> desc_;
-  ProcessRegistry registry_;
+  LeaseRegistry<> registry_;
   std::atomic<std::uint64_t> commits_{0};
   std::atomic<std::uint64_t> aborts_{0};
   std::atomic<std::uint64_t> helps_{0};

@@ -4,7 +4,7 @@
 //
 // All blocks are preallocated; alloc() and free() are a single tagged-CAS
 // push/pop on an index free list (the same {version:32, idx+1:32} head word
-// the ProcessRegistry uses against ABA), so node allocation on the data
+// the LeaseRegistry uses against ABA), so node allocation on the data
 // structure hot path is itself non-blocking and constant time — a retry
 // implies another alloc/free made progress. Blocks are addressed by dense
 // indices, which is what lets the LL/SC-based structures link them through

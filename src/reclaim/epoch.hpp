@@ -10,8 +10,8 @@
 // is that one stalled reader stalls reclamation globally (hazard.hpp makes
 // the opposite trade).
 //
-// Epoch slots are leased from the existing ProcessRegistry (the same dense
-// id machinery the stats shards use), so the slot array bounds *concurrent*
+// Epoch slots are leased from a LeaseRegistry (the same dense id
+// machinery the stats shards use), so the slot array bounds *concurrent*
 // threads, not lifetime threads: a dying ThreadCtx folds its un-freed limbo
 // buckets into a mutex-guarded orphan list — exactly the stats-shard
 // fold-on-exit pattern — and later advances drain it.
@@ -31,7 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "platform/yield_point.hpp"
 #include "reclaim/reclaimer.hpp"
 #include "stats/stats.hpp"
@@ -93,7 +93,7 @@ class EpochReclaimer {
   }
 
   ThreadCtx make_ctx() {
-    return ThreadCtx(this, registry_.register_process());
+    return ThreadCtx(this, registry_.acquire());
   }
 
   void enter(ThreadCtx& ctx) {
@@ -159,7 +159,7 @@ class EpochReclaimer {
   // rate (a stalled reader shows up as a flat epoch line).
   bool try_advance() {
     const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-    const unsigned high_water = registry_.registered();
+    const unsigned high_water = registry_.high_water();
     for (unsigned p = 0; p < high_water; ++p) {
       MOIR_YIELD_READ(&slots_[p]);
       const std::uint64_t s = slots_[p].load(std::memory_order_seq_cst);
@@ -223,14 +223,14 @@ class EpochReclaimer {
       }
     }
     slots_[ctx.id_].store(0, std::memory_order_release);
-    registry_.release_process(ctx.id_);
+    registry_.release(ctx.id_);
     try_advance();
     drain_orphans();
   }
 
   FreeFn free_;
   const std::uint32_t threshold_;
-  ProcessRegistry registry_;
+  LeaseRegistry<> registry_;
   std::atomic<std::uint64_t> epoch_{0};
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;  // (epoch<<1)|active
   std::mutex orphan_mutex_;

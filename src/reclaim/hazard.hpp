@@ -10,7 +10,7 @@
 // if some reader stalls forever — the opposite trade from epoch.hpp, where
 // reads are cheaper but one stalled reader stalls all reclamation.
 //
-// Slot arrays are leased from a ProcessRegistry (dense ids, recycled on
+// Slot arrays are leased from a LeaseRegistry (dense ids, recycled on
 // thread exit); a dying ThreadCtx folds its retire list into a
 // mutex-guarded orphan list that later scans drain — the stats-shard
 // fold-on-exit pattern.
@@ -24,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "platform/yield_point.hpp"
 #include "reclaim/reclaimer.hpp"
 #include "stats/stats.hpp"
@@ -88,7 +88,7 @@ class HazardPointerReclaimer {
   }
 
   ThreadCtx make_ctx() {
-    return ThreadCtx(this, registry_.register_process());
+    return ThreadCtx(this, registry_.acquire());
   }
 
   void enter(ThreadCtx&) {}
@@ -138,7 +138,7 @@ class HazardPointerReclaimer {
       orphans_.clear();
     }
     std::vector<std::uint64_t> announced;
-    const unsigned high_water = registry_.registered();
+    const unsigned high_water = registry_.high_water();
     announced.reserve(std::size_t{high_water} * k_);
     for (std::size_t i = 0; i < std::size_t{high_water} * k_; ++i) {
       MOIR_YIELD_READ(&hazards_[i]);
@@ -170,13 +170,13 @@ class HazardPointerReclaimer {
                       ctx.retired_.end());
       ctx.retired_.clear();
     }
-    registry_.release_process(ctx.id_);
+    registry_.release(ctx.id_);
   }
 
   FreeFn free_;
   const unsigned k_;
   const std::uint32_t threshold_;
-  ProcessRegistry registry_;
+  LeaseRegistry<> registry_;
   // hazards_[id*k + slot] holds idx+1; 0 means no announcement.
   std::unique_ptr<std::atomic<std::uint64_t>[]> hazards_;
   std::mutex orphan_mutex_;

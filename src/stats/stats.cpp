@@ -9,7 +9,7 @@
 #if MOIR_STATS
 #include <mutex>
 
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #endif
 
 namespace moir::stats {
@@ -65,8 +65,9 @@ HistParts g_retired_hists[kNumHists];
 constexpr unsigned kRetiredTraceCap = 1024;
 std::vector<TraceEvent> g_retired_trace;
 
-ProcessRegistry& shard_registry() {
-  static ProcessRegistry registry{kMaxShards};
+// Uncounted: a counted registry would count into the shard being leased.
+LeaseRegistry<>& shard_registry() {
+  static LeaseRegistry<> registry{kMaxShards};
   return registry;
 }
 
@@ -136,7 +137,7 @@ struct ShardLease {
       }
     }
     zero_shard(*shard);
-    shard_registry().release_process(id);
+    shard_registry().release(id);
     active = false;
     // Late writes from destructors running after this one go to the
     // orphan shard instead of a recycled (now someone else's) slot.
@@ -174,7 +175,14 @@ namespace {
 Shard& acquire_shard() {
   ShardLease& lease = tls_lease;
   MOIR_ASSERT_MSG(!lease.active, "shard lease already active without tls_shard");
-  lease.id = shard_registry().register_process();
+  const std::optional<unsigned> id = shard_registry().try_acquire();
+  if (!id) {
+    // kMaxShards threads hold shards: share the orphan shard, whose
+    // writers may race like late writes do.
+    tls_shard = &g_orphan;
+    return g_orphan;
+  }
+  lease.id = *id;
   lease.shard = &g_shards[lease.id];
   lease.active = true;
   tls_shard = lease.shard;
@@ -200,8 +208,8 @@ Snapshot snapshot() {
     snap.counts[i] = g_retired_counts[i] +
                      g_orphan.counts[i].load(std::memory_order_relaxed);
   }
-  const unsigned high_water = shard_registry().registered();
-  for (unsigned p = 0; p < high_water && p < kMaxShards; ++p) {
+  const unsigned high_water = shard_registry().high_water();
+  for (unsigned p = 0; p < high_water; ++p) {
     for (unsigned i = 0; i < kNumCounters; ++i) {
       snap.counts[i] += g_shards[p].counts[i].load(std::memory_order_relaxed);
     }
@@ -215,8 +223,8 @@ Histogram merged_histogram(HistId id) {
   const unsigned h = static_cast<unsigned>(id);
   HistParts parts = g_retired_hists[h];
   fold_hist_shard(g_orphan.hists[h], parts, /*zero=*/false);
-  const unsigned high_water = shard_registry().registered();
-  for (unsigned p = 0; p < high_water && p < kMaxShards; ++p) {
+  const unsigned high_water = shard_registry().high_water();
+  for (unsigned p = 0; p < high_water; ++p) {
     fold_hist_shard(g_shards[p].hists[h], parts, /*zero=*/false);
   }
   out.merge_parts(parts.buckets, parts.total, parts.n, parts.max, parts.min);
@@ -254,8 +262,8 @@ void reset() {
   for (auto& h : g_retired_hists) h = HistParts{};
   g_retired_trace.clear();
   zero_shard(g_orphan);
-  const unsigned high_water = shard_registry().registered();
-  for (unsigned p = 0; p < high_water && p < kMaxShards; ++p) {
+  const unsigned high_water = shard_registry().high_water();
+  for (unsigned p = 0; p < high_water; ++p) {
     zero_shard(g_shards[p]);
   }
 }
@@ -266,8 +274,8 @@ void dump_trace(std::FILE* out) {
   // assert). Racy reads of a dying process's rings are acceptable.
   std::vector<TraceEvent> events;
   events.reserve(kMaxShards * 8);
-  const unsigned high_water = shard_registry().registered();
-  for (unsigned p = 0; p < high_water && p < kMaxShards; ++p) {
+  const unsigned high_water = shard_registry().high_water();
+  for (unsigned p = 0; p < high_water; ++p) {
     append_ring_events(g_shards[p], events);
   }
   append_ring_events(g_orphan, events);

@@ -14,7 +14,7 @@
 //     set_counting(false)), the hot path is one relaxed atomic load and a
 //     predictable branch.
 //  3. When enabled, each thread owns a cache-line-padded shard leased from
-//     a ProcessRegistry, so counting is a thread-local relaxed load+store
+//     a LeaseRegistry, so counting is a thread-local relaxed load+store
 //     — no contended fetch_add on the measured path. Counters are
 //     single-writer; readers merge shards on demand, so totals are exact
 //     once writer threads are quiescent (joined or at a barrier) and a
@@ -26,7 +26,9 @@
 // schedule explorer spawns fresh threads per trial and would exhaust any
 // non-recycling pool. Writes that land after a thread's lease is already
 // released (other thread_local destructors) go to a shared orphan shard:
-// never lost to UB, merely allowed to race with other dying threads.
+// never lost to UB, merely allowed to race with other dying threads. A
+// thread that finds all kMaxShards shards held counts into the orphan
+// shard for its whole life, on the same terms.
 //
 // Tracing (env MOIR_TRACE=1 or set_tracing(true)) timestamps each event
 // with a global sequence number into a per-shard ring buffer; dump_trace()

@@ -20,7 +20,7 @@
 // chose to block on, idle workers between passes), through the futex-free
 // SpinWait. A preempted claim holder delays routing, never execution.
 //
-// Sessions reuse the ProcessRegistry slot discipline: connect() leases a
+// Sessions reuse the LeaseRegistry slot discipline: connect() leases a
 // dense session id whose preallocated SessionState (ticket slots + ring)
 // is recycled across connects; ticket-slot generations are monotonic per
 // slot across reuse, so a stale done word can never match a fresh ticket.
@@ -45,9 +45,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/dynamic_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "core/llsc_traits.hpp"
-#include "core/process_registry.hpp"
 #include "feed/feed.hpp"
 #include "map/sharded_map.hpp"
 #include "platform/yield_point.hpp"
@@ -182,12 +181,14 @@ class KvService {
   explicit KvService(S& substrate, Config cfg = {})
       : cfg_(cfg),
         worker_ceiling_(std::max(cfg.workers, cfg.max_workers)),
-        // Concurrent ThreadCtx holders across the shard-queue reclaimers
-        // and the map reclaimer: one per session, one per worker at the
-        // elastic ceiling (it routes with its own ctx), and two of slack
-        // for manual pumping (router + worker ctx) or a preloader. The
-        // ceiling term is doubled: a retiring worker still holds its ctx
-        // while its replacement may already be spinning up.
+        // Concurrent ThreadCtx holders across the shard-queue reclaimers,
+        // the map reclaimer and the txn store's STM: one per session, one
+        // per worker at the elastic ceiling (it routes with its own ctx),
+        // and two of slack for manual pumping (router + worker ctx) or a
+        // preloader. The ceiling term is doubled: a retiring worker still
+        // holds its ctx while its replacement may already be spinning up.
+        // Every txn ctx also holds a map ctx, so STM pids cannot run out
+        // before the map reclaimer's ids do.
         max_threads_(cfg.max_sessions + 2 * worker_ceiling_ + 2),
         disp_(substrate, max_threads_, cfg.queues, cfg.queue_capacity),
         map_(substrate, max_threads_, cfg.map),
@@ -199,14 +200,7 @@ class KvService {
     MOIR_ASSERT_MSG(!(cfg_.feed && cfg_.txn),
                     "feed mode broadcasts plain-map commits; txn values "
                     "live in Mcas cells the feed hook cannot see");
-    if (cfg_.txn) {
-      // STM pids are never returned, so the txn store's budget counts
-      // contexts over the service's life, not concurrent holders: on top
-      // of the concurrent bound, one more generation of worker and pumper
-      // contexts (a retired worker's pid stays spent).
-      txn_ = std::make_unique<Txn>(map_,
-                                   max_threads_ + 2 * worker_ceiling_ + 2);
-    }
+    if (cfg_.txn) txn_ = std::make_unique<Txn>(map_, max_threads_);
     if (cfg_.feed) {
       feed_ = std::make_unique<Feed>(cfg_.queues, cfg_.feed_max_subscribers);
       queue_claims_ = std::make_unique<std::atomic<bool>[]>(cfg_.queues);
@@ -235,7 +229,7 @@ class KvService {
   // ----- Client API --------------------------------------------------------
 
   ClientCtx connect() {
-    const unsigned sid = session_reg_.register_process();
+    const unsigned sid = session_reg_.acquire();
     SessionState& ss = *sessions_[sid];
     ss.free.clear();
     for (std::uint32_t i = cfg_.tickets_per_session; i > 0; --i) {
@@ -520,7 +514,7 @@ class KvService {
   unsigned worker_ceiling() const { return worker_ceiling_; }
   // join/leave lease bookkeeping for the elastic pool; high_water() bounds
   // how wide the pool ever got, active() how wide it is now.
-  DynamicRegistry& worker_registry() { return worker_reg_; }
+  LeaseRegistry<true>& worker_registry() { return worker_reg_; }
 
  private:
   struct SessionState {
@@ -542,7 +536,7 @@ class KvService {
                     "disconnect with in-flight or unconsumed tickets");
     ss.live.store(false, std::memory_order_release);
     ss.dctx = typename Disp::ThreadCtx{};  // fold queue reclaimer state
-    session_reg_.release_process(sid);
+    session_reg_.release(sid);
   }
 
   // The one admission path: writes the whole payload — the key count too,
@@ -793,7 +787,7 @@ class KvService {
   // retires. Decisions are local — no coordinator thread — and the floor
   // workers never retire, so the drain guarantee of stop() is unchanged.
   void worker_main() {
-    const unsigned wid = worker_reg_.join();
+    const unsigned wid = worker_reg_.acquire();
     {
       WorkerCtx w = make_worker_ctx();
       SpinWait sw;
@@ -825,7 +819,7 @@ class KvService {
         sw.pause();
       }
     }
-    worker_reg_.leave(wid);
+    worker_reg_.release(wid);
   }
 
   // Adds a worker if the pool is below the ceiling and not stopping. The
@@ -883,11 +877,10 @@ class KvService {
   // execution so each broadcast ring keeps a single writer; see pump().
   std::unique_ptr<Feed> feed_;
   std::unique_ptr<std::atomic<bool>[]> queue_claims_;
-  ProcessRegistry session_reg_;
+  LeaseRegistry<> session_reg_;
   // Membership leases for the elastic pool (2x ceiling: a retiree's lease
-  // may overlap its replacement's). Never used by the stats layer, so the
-  // reg_join/reg_leave counts inside it cannot recurse.
-  DynamicRegistry worker_reg_;
+  // may overlap its replacement's), counted as reg_join/reg_leave.
+  LeaseRegistry<true> worker_reg_;
   std::vector<std::unique_ptr<SessionState>> sessions_;
   // Guards live_workers_ and threads_ growth against stop(); workers take
   // it only on scaling decisions, never per request.

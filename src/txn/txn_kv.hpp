@@ -151,8 +151,7 @@ class TxnKv {
     std::uint32_t memo_h[kMemoSlots];
   };
 
-  // `n_processes` bounds the LIFETIME count of ThreadCtxs (STM pids are
-  // leased per ctx and never returned). One cell and one stamp per
+  // `n_processes` bounds concurrent ThreadCtxs. One cell and one stamp per
   // possible map node.
   TxnKv(Map& map, unsigned n_processes)
       : map_(map), mcas_(n_processes, map.handle_space()),

@@ -3,7 +3,7 @@
 // concurrent counters with join/leave churn, descriptor conservation
 // through crash recovery, exhaustive crash-inject DFS + PCT durable-
 // linearizability checks, the missing-persist negative control (DFS and
-// PCT, with schedule replay), DynamicRegistry aliasing storms, and the
+// PCT, with schedule replay), LeaseRegistry aliasing storms, and the
 // elastic worker pool growing/shrinking under offered load.
 #include "dur/dur_llsc.hpp"
 
@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/dynamic_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "core/llsc_traits.hpp"
 #include "dur/pmem.hpp"
 #include "reclaim/epoch.hpp"
@@ -549,15 +549,15 @@ TEST(NegativeControl, PctCatchesMissingPersist) {
 }
 
 // ---------------------------------------------------------------------
-// DynamicRegistry: join/leave storms. Each leased id must be exclusive
-// (no aliasing) and ids stay dense (< max_members; high_water tracks the
-// peak, not the ceiling).
+// Counted LeaseRegistry: join/leave storms. Each leased id must be
+// exclusive (no aliasing) and ids stay dense (< capacity; high_water
+// tracks the peak, not the ceiling).
 // ---------------------------------------------------------------------
 TEST(RegistryChurn, JoinLeaveStormNoAliasing) {
   stats::set_counting(true);
   constexpr unsigned kCeiling = 64;
   constexpr int kThreads = 8;
-  DynamicRegistry reg(kCeiling);
+  LeaseRegistry<true> reg(kCeiling);
   std::vector<std::atomic<int>> claims(kCeiling);
   for (auto& c : claims) c.store(0);
   std::atomic<std::uint64_t> aliased{0};
@@ -566,13 +566,13 @@ TEST(RegistryChurn, JoinLeaveStormNoAliasing) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&] {
       for (std::uint64_t i = 0; i < scaled_budget(4000); ++i) {
-        const unsigned id = reg.join();
+        const unsigned id = reg.acquire();
         ASSERT_LT(id, kCeiling);
         if (claims[id].fetch_add(1, std::memory_order_acq_rel) != 0) {
           aliased.fetch_add(1);  // two members holding one lease
         }
         claims[id].fetch_sub(1, std::memory_order_acq_rel);
-        reg.leave(id);
+        reg.release(id);
       }
     });
   }

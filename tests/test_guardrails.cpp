@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bounded_llsc.hpp"
-#include "core/process_registry.hpp"
+#include "core/lease_registry.hpp"
 #include "core/slot_stack.hpp"
 #include "core/tagged_word.hpp"
 
@@ -19,15 +19,23 @@ class Guardrails : public ::testing::Test {
 };
 
 TEST_F(Guardrails, RegistryOverflowAborts) {
-  ProcessRegistry r(1);
-  r.register_process();
-  EXPECT_DEATH(r.register_process(), "more threads registered");
+  LeaseRegistry<> r(1);
+  r.acquire();
+  EXPECT_DEATH(r.acquire(), "more threads registered");
 }
 
 TEST_F(Guardrails, SlotStackUnderflowAborts) {
   SlotStack s(1);
   s.pop();
   EXPECT_DEATH(s.pop(), "more concurrent LL-SC sequences");
+}
+
+// A slot pushed back twice would later be handed to two LL-SC sequences.
+TEST_F(Guardrails, SlotStackDoublePushAborts) {
+  SlotStack s(2);
+  const unsigned slot = s.pop();
+  s.push(slot);
+  EXPECT_DEATH(s.push(slot), "slot pushed twice");
 }
 
 TEST_F(Guardrails, OversizedValueAborts) {

@@ -376,6 +376,30 @@ TEST(StatsCounters, ShardsMergeAcrossThreadExit) {
   EXPECT_EQ(var.read(), std::uint64_t{kThreads} * kOps & 0xffff);
 }
 
+// More live counting threads than shards: the threads past the pool count
+// into the shared orphan shard instead of aborting the process. Orphan
+// writers may race and lose a count each, hence the range.
+TEST(StatsCounters, ThreadsPastShardPoolShareOrphanShard) {
+  StatsGuard guard;
+  constexpr unsigned kThreads = stats::kMaxShards + 2;
+  const stats::Snapshot before = stats::snapshot();
+  std::atomic<unsigned> counted{0};
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&] {
+      stats::count(Id::kScSuccess);
+      counted.fetch_add(1);
+      // Stay alive, holding the shard, until every thread has counted.
+      while (counted.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  for (auto& t : pool) t.join();
+  const stats::Snapshot d = stats::snapshot() - before;
+
+  EXPECT_GE(d[Id::kScSuccess], std::uint64_t{stats::kMaxShards});
+  EXPECT_LE(d[Id::kScSuccess], std::uint64_t{kThreads});
+}
+
 #else  // !MOIR_STATS
 
 // ---------------------------------------------------------------------

@@ -94,6 +94,47 @@ TEST(Stm, ReadSeesCommittedStateOnly) {
   EXPECT_EQ(stm.read(ctx, 0), 7u);
 }
 
+// Contexts are pid leases: an Stm sized for 2 pids serves any number of
+// short-lived contexts, 2 at a time. A pid's next holder continues its
+// descriptor's incarnations, so helpers still inside the previous
+// holder's last transaction are drained like any other stale helper.
+TEST(Stm, ContextChurnReusesPids) {
+  constexpr unsigned kThreads = 2;
+  constexpr std::size_t kAccounts = 4;
+  constexpr std::uint64_t kInitial = 1000;
+  Stm stm(kThreads, kAccounts);
+  for (std::size_t a = 0; a < kAccounts; ++a) stm.set_initial(a, kInitial);
+
+  run_threads(kThreads, [&](std::size_t tid) {
+#ifdef MOIR_ENABLE_YIELD_POINTS
+    testing::set_yield_probability(0.01, 700 + tid);
+#endif
+    Xoshiro256 rng(tid * 31 + 5);
+    for (int c = 0; c < 500; ++c) {
+      auto ctx = stm.make_ctx();
+      for (int i = 0; i < 4; ++i) {
+        std::uint32_t a =
+            static_cast<std::uint32_t>(rng.next_below(kAccounts));
+        std::uint32_t b =
+            static_cast<std::uint32_t>(rng.next_below(kAccounts));
+        if (a == b) continue;
+        if (a > b) std::swap(a, b);
+        const std::uint32_t addrs[] = {a, b};
+        stm.transact(ctx, addrs, tx_transfer, 1 + rng.next_below(10));
+      }
+    }
+#ifdef MOIR_ENABLE_YIELD_POINTS
+    testing::set_yield_probability(0.0, 0);
+#endif
+  });
+
+  auto ctx = stm.make_ctx();
+  std::uint64_t total = 0;
+  for (std::size_t a = 0; a < kAccounts; ++a) total += stm.read(ctx, a);
+  EXPECT_EQ(total, kAccounts * kInitial) << "money created or destroyed";
+  EXPECT_FALSE(stm.any_cell_locked());
+}
+
 // The canonical STM stress: N threads move money between random account
 // pairs; the grand total is invariant iff transactions are atomic.
 class StmStress : public ::testing::TestWithParam<int> {};

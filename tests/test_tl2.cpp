@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "bench/glstm.hpp"
 #include "core/llsc_traits.hpp"
@@ -362,7 +364,9 @@ TEST(KvServiceTxn, PipelineCountsTl2Reads) {
 // adversarial 1-shard config, same trial shape as the double-collect's
 // (TxnKv.ExploreLinearizable, test_txn.cpp): interleaved insert/mcas vs
 // mput/mget. Fresh ThreadCtx per transact-ful op keeps
-// the descriptor-drain spin unreachable and the DFS tree finite.
+// the descriptor-drain spin unreachable and the DFS tree finite; the ctxs
+// stay held until the trial ends, or the body's next op would reuse the
+// released STM pid.
 // ---------------------------------------------------------------------
 template <class Engine>
 struct Tl2LinShared {
@@ -370,14 +374,19 @@ struct Tl2LinShared {
   Map map;
   Engine txn;
   HistoryRecorder rec{2};
+  std::array<std::vector<typename Engine::ThreadCtx>, 2> held;  // per body
 
   Tl2LinShared()
       : map(sub, 16,
             {.shards = 1, .buckets_per_shard = 1, .capacity_per_shard = 16}),
         txn(map, 16) {}
 
+  typename Engine::ThreadCtx& fresh_ctx(unsigned t) {
+    return held[t].emplace_back(txn.make_ctx());
+  }
+
   void do_insert(unsigned t, std::uint64_t key, std::uint64_t val) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     const auto inv = rec.now();
     const TxnStatus st = txn.insert(ctx, key, val);
     rec.add(t, t, OpKind::kMapInsert, TxnSpec::pack_args(key, val),
@@ -385,7 +394,7 @@ struct Tl2LinShared {
   }
 
   void do_upsert(unsigned t, std::uint64_t key, std::uint64_t val) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     do_upsert_in(ctx, t, key, val);
   }
 
@@ -399,7 +408,7 @@ struct Tl2LinShared {
 
   void do_mput(unsigned t, std::uint64_t k1, std::uint64_t k2,
                std::uint64_t v1, std::uint64_t v2) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     const std::uint64_t keys[] = {k1, k2};
     const std::uint64_t vals[] = {v1, v2};
     const auto inv = rec.now();
@@ -412,7 +421,7 @@ struct Tl2LinShared {
   void do_mcas(unsigned t, std::uint64_t k1, std::uint64_t k2,
                std::uint64_t e1, std::uint64_t e2, std::uint64_t d1,
                std::uint64_t d2) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     const std::uint64_t keys[] = {k1, k2};
     const std::uint64_t exps[] = {e1, e2};
     const std::uint64_t dess[] = {d1, d2};
@@ -425,7 +434,7 @@ struct Tl2LinShared {
   }
 
   void do_mget(unsigned t, std::uint64_t k1, std::uint64_t k2) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     do_mget_in(ctx, t, k1, k2);
   }
 

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/llsc_traits.hpp"
@@ -262,6 +264,58 @@ TEST(KvServiceTxn, MultiOpRoundTrip) {
   EXPECT_EQ(wit[1], Txn::wire(35));
 }
 
+// Txn mode with an elastic pool: each grow/shrink cycle spawns workers
+// whose txn ctxs lease STM pids, and retiring workers return them, so the
+// pool cycles indefinitely on a store sized for concurrent ctxs.
+TEST(KvServiceTxn, ElasticPoolReturnsStmPids) {
+  Sub sub;
+  Svc svc(sub, {.workers = 1,
+                .max_workers = 3,
+                .grow_streak = 1,
+                .shrink_idle = 64,
+                .batch = 1,
+                .txn = true,
+                .map = small_map()});
+  constexpr std::uint64_t kCycles = 12, kClients = 2, kUpserts = 300;
+  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+    std::vector<std::thread> clients;
+    for (std::uint64_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        auto sess = svc.connect();
+        for (std::uint64_t i = 0; i < kUpserts; ++i) {
+          for (;;) {  // retry shed admissions
+            const auto t =
+                svc.submit(sess, Op::kUpsert, c, cycle * kUpserts + i);
+            if (t.has_value() &&
+                svc.wait(sess, *t).status != Status::kOverload) {
+              break;
+            }
+          }
+        }
+      });
+    }
+    for (auto& th : clients) th.join();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (svc.live_workers() > 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(svc.live_workers(), 1u) << "pool stuck above its floor";
+  }
+  EXPECT_GE(svc.worker_registry().high_water(), 2u)
+      << "the pool never grew, so no pid was ever returned";
+
+  auto sess = svc.connect();
+  for (std::uint64_t c = 0; c < kClients; ++c) {
+    const auto t = svc.submit(sess, Op::kFind, c);
+    ASSERT_TRUE(t.has_value());
+    const auto r = svc.wait(sess, *t);
+    EXPECT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(r.value, kCycles * kUpserts - 1);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Linearizability of interleaved single- and multi-key operations against
 // TxnSpec, DFS-explored on an adversarial 1-shard configuration (every
@@ -269,20 +323,28 @@ TEST(KvServiceTxn, MultiOpRoundTrip) {
 // cells). Direct TxnKv access; each transact-ful operation runs on a
 // FRESH ThreadCtx (fresh STM pid), so the descriptor-drain spin in
 // try_transact is structurally unreachable and the DFS tree stays finite.
+// The ctxs stay held until the trial ends: a released pid would be reused
+// by the body's next op, whose drain could then wait on the other body
+// while DFS keeps scheduling the spinner.
 // ---------------------------------------------------------------------
 struct TxnLinShared {
   Sub sub;
   Map map;
   Txn txn;
   HistoryRecorder rec{2};
+  std::array<std::vector<Txn::ThreadCtx>, 2> held;  // per body
 
   TxnLinShared()
       : map(sub, 16,
             {.shards = 1, .buckets_per_shard = 1, .capacity_per_shard = 16}),
         txn(map, 16) {}
 
+  Txn::ThreadCtx& fresh_ctx(unsigned t) {
+    return held[t].emplace_back(txn.make_ctx());
+  }
+
   void do_insert(unsigned t, std::uint64_t key, std::uint64_t val) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     const auto inv = rec.now();
     const TxnStatus st = txn.insert(ctx, key, val);
     rec.add(t, t, OpKind::kMapInsert, TxnSpec::pack_args(key, val),
@@ -291,7 +353,7 @@ struct TxnLinShared {
 
   void do_mput(unsigned t, std::uint64_t k1, std::uint64_t k2,
                std::uint64_t v1, std::uint64_t v2) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     const std::uint64_t keys[] = {k1, k2};
     const std::uint64_t vals[] = {v1, v2};
     const auto inv = rec.now();
@@ -304,7 +366,7 @@ struct TxnLinShared {
   void do_mcas(unsigned t, std::uint64_t k1, std::uint64_t k2,
                std::uint64_t e1, std::uint64_t e2, std::uint64_t d1,
                std::uint64_t d2) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     const std::uint64_t keys[] = {k1, k2};
     const std::uint64_t exps[] = {e1, e2};
     const std::uint64_t dess[] = {d1, d2};
@@ -319,7 +381,7 @@ struct TxnLinShared {
   // The double-collect never transacts, so reusing a ctx would be fine;
   // a fresh one keeps the pid accounting uniform.
   void do_mget(unsigned t, std::uint64_t k1, std::uint64_t k2) {
-    auto ctx = txn.make_ctx();
+    auto& ctx = fresh_ctx(t);
     const std::uint64_t keys[] = {k1, k2};
     std::uint64_t out[2];
     const auto inv = rec.now();
