@@ -1,5 +1,8 @@
 // E16 (durable LL/SC + dynamic joining): what durability costs on top of
 // the volatile figbw skeleton, and what the elastic pool does under load.
+// figdur is that skeleton (core/bw_llsc.hpp) run with the dur::Durable
+// policy, so the figdur-vs-figbw delta is exactly the policy's persist
+// hooks and its 16-byte durable words.
 //
 // Four sections:
 //   * micro: single-thread LL;SC and read() for figdur (compare the figbw

@@ -1,5 +1,6 @@
 // Blelloch–Wei weak LL/SC from single pointer-width CAS (arXiv:1911.09671),
-// as a SmallLlscSubstrate — the `figbw` family.
+// as a SmallLlscSubstrate — the `figbw` family, and the skeleton the
+// durable `figdur` family (dur/dur_llsc.hpp) adds its persist barriers to.
 //
 // The paper's Figures 4/5/7 defeat CAS's ABA problem by *tagging* the word:
 // every SC writes a value+tag pair, so a recycled value still compares
@@ -37,11 +38,21 @@
 // (the pool never poisons them), so touching a retired one is safe; it is
 // merely revalidated away.
 //
+// Membership is leased: make_ctx() takes one of N process ids from a
+// LeaseRegistry and the context's destructor returns it, so contexts join
+// and leave under load (the dynamic joining of arXiv 2302.00135). A leaving
+// context clears its announcements and parks its limbo on an orphan stack
+// that the next scan adopts.
+//
+// The Durability policy supplies the word types and three persist hooks
+// (P1-P3, at the points sc/ll/read name them) plus init_var's quiescent
+// persist. `Volatile` is the plain algorithm: its hooks are empty inlines.
+//
 // The SkipAnnounce template parameter is a planted bug for the negative
-// control (ISSUE 6): it elides the announce/re-read step, so a preempted LL
-// can dereference — and later successfully SC against — a descriptor that
-// was recycled underneath it. tests/test_bw_llsc.cpp demonstrates PCT
-// catching the resulting non-linearizable history.
+// control: it elides the announce/re-read step, so a preempted LL can
+// dereference — and later successfully SC against — a descriptor that was
+// recycled underneath it. tests/test_bw_llsc.cpp demonstrates PCT catching
+// the resulting non-linearizable history.
 #pragma once
 
 #include <algorithm>
@@ -57,16 +68,34 @@
 #include "reclaim/bw_allocator.hpp"
 #include "stats/stats.hpp"
 #include "util/assertion.hpp"
+#include "util/backoff.hpp"
 #include "util/bits.hpp"
 
 namespace moir {
 
-template <unsigned ValBits = 64, bool SkipAnnounce = false>
+// The volatile durability policy: plain atomics, no barriers, and an
+// uncounted membership registry.
+struct Volatile {
+  using VarWord = std::atomic<std::uint32_t>;
+  using ValueWord = std::atomic<std::uint64_t>;
+  static constexpr bool kCountMembers = false;
+  static constexpr const char* kName = "bw-llsc(figbw)";
+
+  void persist_value(ValueWord&) const {}                   // P1
+  void persist_install(VarWord&, std::uint32_t) const {}    // P2
+  void persist_observed(VarWord&, std::uint32_t) const {}   // P3
+  void persist_init(ValueWord&, VarWord&, bool) {}
+};
+
+template <unsigned ValBits = 64, class Durability = Volatile,
+          bool SkipAnnounce = false>
 class BwLlscImpl {
   static_assert(ValBits >= 1 && ValBits <= 64);
 
  public:
   using value_type = std::uint64_t;
+  using VarWord = typename Durability::VarWord;
+  using ValueWord = typename Durability::ValueWord;
 
   static constexpr unsigned kValBits = ValBits;
   static constexpr std::uint32_t kNone = 0xffffffffu;
@@ -76,7 +105,7 @@ class BwLlscImpl {
   // per-slot seqlock generation for context-free readers; it is bumped to
   // odd before each rewrite and back to even after, and only ever grows.
   struct Descriptor {
-    std::atomic<std::uint64_t> value{0};
+    ValueWord value{0};
     std::atomic<std::uint64_t> seq{0};
   };
 
@@ -103,7 +132,9 @@ class BwLlscImpl {
 
    private:
     friend class BwLlscImpl;
-    std::atomic<std::uint32_t> buf_{kNone};  // current descriptor index
+    // Current descriptor index. Mutable so the const read path can run the
+    // P3 hook: a persist changes no volatile state.
+    mutable VarWord buf_{kNone};
   };
 
   struct Keep {
@@ -128,7 +159,8 @@ class BwLlscImpl {
 
     // A context may die with retired-but-announced descriptors in limbo
     // (another process's LL may still hold them). They are parked on the
-    // domain's orphan stack; any later scan adopts and retires them.
+    // domain's orphan stack; any later scan adopts and retires them. The
+    // announcements are cleared first: a joiner may reuse the id.
     ~ThreadCtx() {
       if (domain_ == nullptr) return;
       MOIR_ASSERT_MSG(stack_.available() == domain_->k_,
@@ -191,8 +223,9 @@ class BwLlscImpl {
   // any straggling context-free reader revalidates).
   void init_var(Var& var, value_type initial) {
     MOIR_ASSERT(initial <= max_value());
-    std::uint32_t d = var.buf_.load(std::memory_order_relaxed);
-    if (d == kNone) {
+    std::uint32_t d = index(var.buf_, std::memory_order_relaxed);
+    const bool fresh_var = (d == kNone);
+    if (fresh_var) {
       const auto fresh = pool_.alloc();
       MOIR_ASSERT_MSG(fresh.has_value(),
                       "descriptor pool exhausted in init_var; raise "
@@ -205,6 +238,7 @@ class BwLlscImpl {
     desc.value.store(initial, std::memory_order_release);
     desc.seq.store(s + 2, std::memory_order_release);
     var.buf_.store(d, std::memory_order_seq_cst);
+    durability_.persist_init(desc.value, var.buf_, fresh_var);
   }
 
   // LL: read the descriptor pointer, announce it, and re-read the pointer
@@ -215,7 +249,7 @@ class BwLlscImpl {
   value_type ll(ThreadCtx& ctx, const Var& var, Keep& keep) {
     keep.slot = ctx.stack_.pop();
     MOIR_YIELD_READ(&var);
-    std::uint32_t d = var.buf_.load(std::memory_order_seq_cst);
+    std::uint32_t d = index(var.buf_);
     if constexpr (!SkipAnnounce) {
       std::atomic<std::uint32_t>& ann = announce(ctx.pid_, keep.slot);
       for (;;) {
@@ -223,13 +257,15 @@ class BwLlscImpl {
         ann.store(d, std::memory_order_seq_cst);
         stats::count(stats::Id::kBwAnnounce, 1, &var);
         MOIR_YIELD_READ(&var);
-        const std::uint32_t cur = var.buf_.load(std::memory_order_seq_cst);
+        const std::uint32_t cur = index(var.buf_);
         if (cur == d) break;
         // A retry implies a concurrent SC installed `cur`: lock-free.
         stats::count(stats::Id::kBwHelp, 1, &var);
         d = cur;
       }
     }
+    // P3: the install about to be exposed must be durable first.
+    durability_.persist_observed(var.buf_, d);
     keep.desc = d;
     MOIR_YIELD_READ(&pool_.node(d));
     return pool_.node(d).value.load(std::memory_order_acquire);
@@ -240,7 +276,7 @@ class BwLlscImpl {
   // touch the slot or announcement: callers may vl() a closed sequence.
   bool vl(ThreadCtx&, const Var& var, const Keep& keep) const {
     MOIR_YIELD_READ(&var);
-    return var.buf_.load(std::memory_order_seq_cst) == keep.desc;
+    return index(var.buf_) == keep.desc;
   }
 
   bool sc(ThreadCtx& ctx, Var& var, const Keep& keep, value_type newval) {
@@ -256,12 +292,17 @@ class BwLlscImpl {
     desc.seq.store(s + 1, std::memory_order_relaxed);
     desc.value.store(newval, std::memory_order_release);
     desc.seq.store(s + 2, std::memory_order_release);
+    // P1: the payload is durable before its index can become visible.
+    durability_.persist_value(desc.value);
 
     MOIR_YIELD_STEP(::moir::testing::StepInfo::update(&var).also_write(
         &announce(ctx.pid_, keep.slot)));
-    std::uint32_t expected = keep.desc;
-    const bool ok = var.buf_.compare_exchange_strong(
-        expected, nd, std::memory_order_seq_cst, std::memory_order_seq_cst);
+    WordValue expected = keep.desc;
+    const bool ok = var.buf_.compare_exchange_strong(expected, nd,
+                                                     std::memory_order_seq_cst);
+    // P2: the durable word leaves keep.desc behind before keep.desc can be
+    // retired (and eventually recycled).
+    if (ok) durability_.persist_install(var.buf_, nd);
     // Close the sequence only AFTER the CAS: clearing the announcement
     // first would let a scan recycle keep.desc and a concurrent SC
     // re-install it, making the CAS succeed spuriously (ABA).
@@ -299,7 +340,7 @@ class BwLlscImpl {
   value_type read(const Var& var) const {
     for (;;) {
       MOIR_YIELD_READ(&var);
-      const std::uint32_t d = var.buf_.load(std::memory_order_seq_cst);
+      const std::uint32_t d = index(var.buf_);
       const Descriptor& desc = pool_.node(d);
       MOIR_YIELD_READ(&desc);
       const std::uint64_t s1 = desc.seq.load(std::memory_order_acquire);
@@ -311,7 +352,8 @@ class BwLlscImpl {
       MOIR_YIELD_STEP(
           ::moir::testing::StepInfo::read(&desc).also_read(&var));
       if (desc.seq.load(std::memory_order_relaxed) == s1 &&
-          var.buf_.load(std::memory_order_seq_cst) == d) {
+          index(var.buf_) == d) {
+        durability_.persist_observed(var.buf_, d);  // P3
         return v;
       }
       stats::count(stats::Id::kBwHelp, 1, &var);
@@ -320,12 +362,13 @@ class BwLlscImpl {
 
   value_type max_value() const { return low_mask(ValBits); }
   const char* name() const {
-    return SkipAnnounce ? "bw-llsc-no-announce(broken)" : "bw-llsc(figbw)";
+    return SkipAnnounce ? "bw-llsc-no-announce(broken)" : Durability::kName;
   }
 
   unsigned n_processes() const { return n_; }
   unsigned k() const { return k_; }
   std::uint32_t scan_threshold() const { return threshold_; }
+  LeaseRegistry<Durability::kCountMembers>& registry() { return registry_; }
 
   // --- space accounting (EXPERIMENTS.md E15) ------------------------------
   // Shared overhead: Nk announcement words plus the descriptor pool (two
@@ -351,17 +394,52 @@ class BwLlscImpl {
   }
   std::uint32_t pool_capacity() const { return pool_.capacity(); }
 
+ protected:
+  // For the durable substrate's descriptor attach and crash recovery.
+  Pool& pool() { return pool_; }
+  Durability& durability() { return durability_; }
+  const Durability& durability() const { return durability_; }
+
  private:
+  // The var word's own value type; descriptor indices fit in 32 bits.
+  using WordValue = decltype(std::declval<const VarWord&>().load());
+
+  static std::uint32_t index(
+      const VarWord& word, std::memory_order mo = std::memory_order_seq_cst) {
+    return static_cast<std::uint32_t>(word.load(mo));
+  }
+
   std::atomic<std::uint32_t>& announce(unsigned pid, unsigned slot) {
     MOIR_ASSERT(pid < n_ && slot < k_);
     return ann_[pid * k_ + slot];
   }
 
+  // Rounds of {scan; alloc} a dry allocator retries, while no scan holds
+  // an adopted orphan pile, before declaring the pool undersized.
+  static constexpr unsigned kDryRetries = 256;
+
   std::uint32_t alloc_desc(ThreadCtx& ctx) {
     if (const auto d = pool_.alloc(ctx.alloc_)) return *d;
-    // Pool dry: harvest limbo and orphans immediately, then retry.
-    scan(ctx);
-    if (const auto d = pool_.alloc(ctx.alloc_)) return *d;
+    // Pool dry. Under membership churn this state is usually transient
+    // rather than a sizing error: every leave parks the leaver's limbo on
+    // the orphan stack, the pile between scans is unbounded (it scales
+    // with churn rate, which no Config field caps), and a concurrent
+    // scanner that adopted the pile holds every reclaimable descriptor in
+    // its private limbo until its free loop has spilled them back chunk by
+    // chunk. So: scan (harvesting our limbo plus any orphans that have
+    // landed since) and retry with backoff while the blocks surface. A
+    // round counts toward the bound only while no scan holds a pile: a
+    // preempted holder can outlast any fixed number of rounds, and its
+    // blocks still come back. The bound keeps genuine exhaustion (more
+    // live Vars and in-flight sequences than the pool was provisioned
+    // for) a loud failure instead of a livelock.
+    SpinWait backoff;
+    for (unsigned idle = 0; idle < kDryRetries;) {
+      scan(ctx);
+      if (const auto d = pool_.alloc(ctx.alloc_)) return *d;
+      if (pile_holders_.load(std::memory_order_acquire) == 0) ++idle;
+      backoff.pause();
+    }
     MOIR_ASSERT_MSG(false,
                     "descriptor pool exhausted: more live Vars or in-flight "
                     "sequences than Config::reserve provisioned for");
@@ -381,7 +459,7 @@ class BwLlscImpl {
     // Touches the whole announcement array and the orphan stack: declare it
     // opaque rather than enumerate an unbounded footprint.
     MOIR_YIELD_POINT();
-    adopt_orphans(ctx);
+    const bool holding = adopt_orphans(ctx);
     ctx.scratch_.clear();
     for (unsigned i = 0; i < nk_; ++i) {
       const std::uint32_t a = ann_[i].load(std::memory_order_seq_cst);
@@ -399,6 +477,7 @@ class BwLlscImpl {
       }
     }
     ctx.limbo_.resize(kept);
+    if (holding) pile_holders_.fetch_sub(1, std::memory_order_release);
     if (freed != 0) stats::count(stats::Id::kBwAllocReuse, freed, this);
   }
 
@@ -422,10 +501,12 @@ class BwLlscImpl {
     }
   }
 
-  void adopt_orphans(ThreadCtx& ctx) {
+  // Moves the whole orphan stack into ctx's limbo; true if it was not
+  // empty, in which case the caller holds the pile until its scan ends.
+  bool adopt_orphans(ThreadCtx& ctx) {
     std::uint64_t head = orphans_.load(std::memory_order_acquire);
     for (;;) {
-      if (static_cast<std::uint32_t>(head & 0xffffffffull) == 0) return;
+      if (static_cast<std::uint32_t>(head & 0xffffffffull) == 0) return false;
       const std::uint64_t version = (head >> 32) + 1;
       if (orphans_.compare_exchange_weak(head, version << 32,
                                          std::memory_order_acq_rel,
@@ -433,31 +514,36 @@ class BwLlscImpl {
         break;
       }
     }
+    pile_holders_.fetch_add(1, std::memory_order_relaxed);
     std::uint32_t enc = static_cast<std::uint32_t>(head & 0xffffffffull);
     while (enc != 0) {
       ctx.limbo_.push_back(enc - 1);
       enc = orphan_next_(enc - 1).load(std::memory_order_relaxed);
     }
+    return true;
   }
 
   const unsigned n_;
   const unsigned k_;
   const unsigned nk_;
   const std::uint32_t threshold_;
-  LeaseRegistry<> registry_;
+  LeaseRegistry<Durability::kCountMembers> registry_;
   // A: array[0..N-1][0..k-1] of descriptor indices (kNone = empty).
   std::unique_ptr<std::atomic<std::uint32_t>[]> ann_;
   Pool pool_;
   std::atomic<std::uint64_t> orphans_{0};
+  // Scans between adopting a non-empty orphan pile and freeing it.
+  std::atomic<unsigned> pile_holders_{0};
   // Per-descriptor orphan-stack link (idx+1 encoding), sized with the pool.
   std::unique_ptr<std::atomic<std::uint32_t>[]> orphan_links_;
+  [[no_unique_address]] Durability durability_;
 };
 
 template <unsigned ValBits = 64>
-using BwLlsc = BwLlscImpl<ValBits, false>;
+using BwLlsc = BwLlscImpl<ValBits>;
 
 // Planted bug (negative control): LL dereferences without announcing.
 template <unsigned ValBits = 64>
-using BwLlscNoAnnounce = BwLlscImpl<ValBits, true>;
+using BwLlscNoAnnounce = BwLlscImpl<ValBits, Volatile, true>;
 
 }  // namespace moir

@@ -13,30 +13,23 @@
 //
 //   * DurWord is a 64-bit word with a volatile value v_ and a durable
 //     shadow durable_. Loads/stores/CAS touch only v_.
-//   * flush(w) schedules a write-back: it appends w to the calling
-//     thread's pending list. No yield point — a flush instruction alone
-//     guarantees nothing about ordering, so giving it a schedule decision
-//     would only inflate the DFS tree without adding reachable states.
-//   * fence() commits the calling thread's pending write-backs: ONE opaque
-//     yield point, then durable_ := current v_ for each pending word. The
-//     single yield point means a crash lands before (no pending write-back
-//     committed) or after (all committed). Real hardware can commit any
-//     subset at a crash, so this is an under-approximation — but every
-//     state it produces is a real reachable state, so a violation found
-//     here is a real bug, and the missing-persist negative control below
-//     shows the approximation still has teeth.
-//   * persist(w) = flush + fence for one word: the common "persist this
-//     word now" barrier, one yield point (MOIR_YIELD_PERSIST).
+//   * persist(w) is the "write this word back now" barrier (a flush and
+//     its fence, for one word): ONE yield point (MOIR_YIELD_PERSIST), then
+//     durable_ := current v_. A crash lands before the commit or after it.
+//     Every state this produces is a real reachable state, so a violation
+//     found here is a real bug, and the missing-persist negative control
+//     (tests/test_dur.cpp) shows the model has teeth.
 //
-// Capture-at-commit, not capture-at-flush: fence() copies the word's
-// volatile value AT COMMIT TIME, not the value it held when flush() was
-// called. A cacheline write-back writes the line's content at write-back
-// time; it can never resurrect an older value. Capturing at flush time
-// would let a delayed fence overwrite a NEWER durable value with a stale
-// snapshot — a rollback no hardware exhibits — and would make correctly
-// annotated algorithms fail verification. Under this model durable_ only
-// ever moves toward the current volatile value, matching the monotone
-// convergence of real write-backs.
+// Capture at commit: persist() copies the word's volatile value when the
+// write-back COMMITS — after its yield point — not the value the caller
+// last stored or saw. A cacheline write-back writes the line's content at
+// write-back time; it can never resurrect an older value. Capturing any
+// earlier would let a delayed persist overwrite a NEWER durable value with
+// a stale one — a rollback no hardware exhibits — and would make
+// correctly annotated algorithms fail verification (figdur's barriers
+// rely on it: each may commit a value past the one it was placed for).
+// Under this model durable_ only ever moves toward the current volatile
+// value, matching the monotone convergence of real write-backs.
 //
 // Crash protocol (sim/crash.hpp drives it): the crash body snapshot()s the
 // domain at a schedule point of the explorer's choosing; after the trial's
@@ -95,24 +88,10 @@ class DurWord {
   std::atomic<std::uint64_t> durable_;
 };
 
-// The set of DurWords belonging to one durable data structure, plus the
-// per-thread pending-write-back state. Snapshot/restore operate on the
-// whole domain at once.
+// The set of DurWords belonging to one durable data structure.
+// Snapshot/restore operate on the whole domain at once.
 class PmemDomain {
  public:
-  // Per-thread pending-flush list. Cheap to construct; algorithms embed one
-  // in their ThreadCtx. Destroying a ctx with pending flushes is fine —
-  // unfenced flushes guarantee nothing, so dropping them loses nothing.
-  class ThreadCtx {
-   public:
-    explicit ThreadCtx(PmemDomain& domain) : domain_(&domain) {}
-
-   private:
-    friend class PmemDomain;
-    PmemDomain* domain_;
-    std::vector<DurWord*> pending_;
-  };
-
   // Registers a word with the domain. Quiescent-only (construction /
   // init_var time): attach order defines the snapshot index order, and the
   // recovery protocol relies on the crashed and recovered instances
@@ -122,39 +101,11 @@ class PmemDomain {
     words_.push_back(&word);
   }
 
-  std::size_t attached() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return words_.size();
-  }
-
-  // Schedules a write-back of `word` on this thread; commits at the next
-  // fence(). Deliberately NOT a yield point (see header comment).
-  void flush(ThreadCtx& ctx, DurWord& word) {
-    MOIR_ASSERT(ctx.domain_ == this);
-    ctx.pending_.push_back(&word);
-    stats::count(stats::Id::kDurFlush, 1, this);
-  }
-
-  // Commits this thread's pending write-backs. The single opaque yield
-  // point BEFORE the commits is the crash window: a crash scheduled there
-  // sees none of them durable; once the thread runs again all commit.
-  void fence(ThreadCtx& ctx) {
-    MOIR_ASSERT(ctx.domain_ == this);
-    if (ctx.pending_.empty()) return;
-    MOIR_YIELD_POINT();
-    for (DurWord* w : ctx.pending_) {
-      // Capture at commit time: write-backs write current line content.
-      w->durable_.store(w->v_.load(std::memory_order_seq_cst),
-                        std::memory_order_seq_cst);
-    }
-    ctx.pending_.clear();
-    stats::count(stats::Id::kDurFence, 1, this);
-  }
-
-  // flush + fence for a single word: the "persist w before proceeding"
-  // barrier the durable LL/SC algorithm uses. One yield point. Const because
-  // it mutates only the word's durable shadow, never the domain — so
-  // context-free readers may persist through a const substrate.
+  // Writes `word` back: one yield point (the crash window), then the
+  // durable shadow takes the word's CURRENT volatile value. Counts one
+  // flush and one fence. Const because it mutates only the word's durable
+  // shadow, never the domain — so context-free readers may persist
+  // through a const substrate.
   void persist(DurWord& word) const {
     MOIR_YIELD_PERSIST(&word);
     word.durable_.store(word.v_.load(std::memory_order_seq_cst),

@@ -123,7 +123,9 @@ class KvService {
   };
 
   // Move-only session handle; destruction disconnects. One per client
-  // thread — submit/poll on a ClientCtx are single-threaded.
+  // thread — submit/poll on a ClientCtx are single-threaded. A handle that
+  // holds no session (connect() was refused, or it was moved from) sheds
+  // every submit, and its polls complete nothing.
   class ClientCtx {
    public:
     ClientCtx(ClientCtx&& o) noexcept : svc_(o.svc_), sid_(o.sid_) {
@@ -143,6 +145,7 @@ class KvService {
     ~ClientCtx() { release(); }
 
     unsigned session() const { return sid_; }
+    bool connected() const { return svc_ != nullptr; }
 
    private:
     friend class KvService;
@@ -228,8 +231,12 @@ class KvService {
 
   // ----- Client API --------------------------------------------------------
 
+  // Leases a session, or returns a handle that holds none (connected() is
+  // false) when max_sessions clients are already connected.
   ClientCtx connect() {
-    const unsigned sid = session_reg_.acquire();
+    const std::optional<unsigned> lease = session_reg_.try_acquire();
+    if (!lease) return ClientCtx(nullptr, 0);
+    const unsigned sid = *lease;
     SessionState& ss = *sessions_[sid];
     ss.free.clear();
     for (std::uint32_t i = cfg_.tickets_per_session; i > 0; --i) {
@@ -241,9 +248,10 @@ class KvService {
   }
 
   // Admission + enqueue. Returns the ticket to poll, or nullopt (EBUSY)
-  // when the request is shed: service draining, the per-session in-flight
-  // window is exhausted, the session ring is full, or (direct mode) the
-  // shard queue's node pool is exhausted. Never blocks.
+  // when the request is shed: the handle holds no session, service
+  // draining, the per-session in-flight window is exhausted, the session
+  // ring is full, or (direct mode) the shard queue's node pool is
+  // exhausted. Never blocks.
   std::optional<Ticket> submit(ClientCtx& c, Op op, std::uint64_t key,
                                std::uint64_t value = 0) {
     return admit(c, op, key, value, {}, {}, {});
@@ -548,11 +556,12 @@ class KvService {
                               std::span<const std::uint64_t> keys,
                               std::span<const std::uint64_t> values,
                               std::span<const std::uint64_t> expected) {
-    SessionState& ss = *sessions_[c.sid_];
-    if (draining_.load(std::memory_order_acquire) || ss.free.empty()) {
+    if (!c.connected() || draining_.load(std::memory_order_acquire) ||
+        sessions_[c.sid_]->free.empty()) {
       stats::count(stats::Id::kSvcShed);
       return std::nullopt;
     }
+    SessionState& ss = *sessions_[c.sid_];
     const std::uint32_t slot = ss.free.back();
     TicketSlot& ts = ss.slots[slot];
     ts.key = key;
@@ -586,11 +595,12 @@ class KvService {
   }
 
   // The one ticket-take behind poll and poll_feed: nullopt while the
-  // request is in flight; once done == gen, `read` copies the response out
-  // and the slot returns to the window.
+  // request is in flight, or if the handle holds no session; once done ==
+  // gen, `read` copies the response out and the slot returns to the window.
   template <class Read>
   auto take(ClientCtx& c, const Ticket& t, Read&& read)
       -> std::optional<decltype(read(std::declval<const TicketSlot&>()))> {
+    if (!c.connected()) return std::nullopt;
     SessionState& ss = *sessions_[c.sid_];
     const TicketSlot& ts = ss.slots[t.slot];
     MOIR_YIELD_READ(&ts.done);
@@ -825,24 +835,40 @@ class KvService {
   // Adds a worker if the pool is below the ceiling and not stopping. The
   // re-check of draining_ under pool_mu_ pairs with the lock barrier
   // in stop(): either the spawn lands in threads_ before stop() walks it,
-  // or it is refused here.
+  // or it is refused here. Retired workers are joined and dropped first,
+  // so a churning pool holds at most one exited thread per retirement
+  // since the last spawn. The join cannot deadlock: a retiree never takes
+  // pool_mu_ after try_retire().
   void spawn_worker() {
     if (worker_ceiling_ <= cfg_.workers) return;  // pool is fixed-size
     std::lock_guard<std::mutex> g(pool_mu_);
     if (draining_.load(std::memory_order_acquire)) return;
     if (live_workers_ >= worker_ceiling_) return;
+    for (const std::thread::id id : retired_) {
+      const auto t = std::find_if(threads_.begin(), threads_.end(),
+                                  [id](const std::thread& th) {
+                                    return th.get_id() == id;
+                                  });
+      MOIR_ASSERT(t != threads_.end());
+      t->join();
+      threads_.erase(t);
+    }
+    retired_.clear();
     ++live_workers_;
     threads_.emplace_back([this] { worker_main(); });
   }
 
   // A worker above the floor may leave; the floor stays to honor the
-  // drain guarantee. The retiring thread stays in threads_ (joined at
-  // stop()), but releases its reclaimer/membership leases immediately.
+  // drain guarantee. The retiring thread is recorded for the next
+  // spawn_worker() (or stop()) to join, and releases its reclaimer and
+  // membership leases as it exits.
   bool try_retire() {
+    if (worker_ceiling_ <= cfg_.workers) return false;  // pool is fixed-size
     std::lock_guard<std::mutex> g(pool_mu_);
     if (live_workers_ <= cfg_.workers) return false;
     if (draining_.load(std::memory_order_acquire)) return false;
     --live_workers_;
+    retired_.push_back(std::this_thread::get_id());
     return true;
   }
 
@@ -882,11 +908,12 @@ class KvService {
   // may overlap its replacement's), counted as reg_join/reg_leave.
   LeaseRegistry<true> worker_reg_;
   std::vector<std::unique_ptr<SessionState>> sessions_;
-  // Guards live_workers_ and threads_ growth against stop(); workers take
-  // it only on scaling decisions, never per request.
+  // Guards live_workers_, threads_ and retired_ against stop(); workers
+  // take it only on scaling decisions, never per request.
   mutable std::mutex pool_mu_;
   unsigned live_workers_ = 0;
   std::vector<std::thread> threads_;
+  std::vector<std::thread::id> retired_;  // exited or exiting, not joined
   std::atomic<bool> draining_{false};
   // Every worker pass writes it; its own line keeps that traffic off
   // draining_, which every submit reads.

@@ -1,10 +1,11 @@
 // Durable LL/SC over simulated pmem (figdur) + dynamic membership:
-// pmem barrier semantics (capture-at-commit), substrate conformance,
-// concurrent counters with join/leave churn, descriptor conservation
-// through crash recovery, exhaustive crash-inject DFS + PCT durable-
-// linearizability checks, the missing-persist negative control (DFS and
-// PCT, with schedule replay), LeaseRegistry aliasing storms, and the
-// elastic worker pool growing/shrinking under offered load.
+// pmem persist and snapshot semantics, substrate conformance, concurrent
+// counters with join/leave churn, descriptor conservation through crash
+// recovery, exhaustive crash-inject DFS + PCT durable-linearizability
+// checks, the missing-persist negative control (DFS and PCT, with
+// schedule replay), LeaseRegistry aliasing storms, figdur and figbw
+// traffic under membership churn, and the elastic worker pool
+// growing/shrinking under offered load.
 #include "dur/dur_llsc.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/bw_llsc.hpp"
 #include "core/lease_registry.hpp"
 #include "core/llsc_traits.hpp"
 #include "dur/pmem.hpp"
@@ -49,35 +51,6 @@ static_assert(SmallLlscSubstrate<dur::DurLlscNoPersist<>>);
 // ---------------------------------------------------------------------
 // Simulated-pmem semantics: the model the barrier proofs lean on.
 // ---------------------------------------------------------------------
-TEST(Pmem, FlushAloneCommitsNothing) {
-  dur::PmemDomain d;
-  dur::DurWord w(7);
-  d.attach(w);
-  dur::PmemDomain::ThreadCtx ctx(d);
-  w.store(8);
-  d.flush(ctx, w);
-  EXPECT_EQ(w.load(), 8u);
-  EXPECT_EQ(w.durable(), 7u) << "flush without fence must not commit";
-  d.fence(ctx);
-  EXPECT_EQ(w.durable(), 8u);
-  d.fence(ctx);  // empty fence: no-op
-  EXPECT_EQ(w.durable(), 8u);
-}
-
-// Write-backs write current line content: a store between flush and fence
-// is what becomes durable (durable_ never moves backward to a stale value).
-TEST(Pmem, FenceCapturesAtCommitTime) {
-  dur::PmemDomain d;
-  dur::DurWord w(0);
-  d.attach(w);
-  dur::PmemDomain::ThreadCtx ctx(d);
-  w.store(1);
-  d.flush(ctx, w);
-  w.store(2);
-  d.fence(ctx);
-  EXPECT_EQ(w.durable(), 2u) << "fence must commit the value at commit time";
-}
-
 TEST(Pmem, PersistAndSnapshotRestoreRoundTrip) {
   dur::PmemDomain d;
   dur::DurWord a(1), b(2);
@@ -107,11 +80,9 @@ TEST(Pmem, BarrierCountersTick) {
   dur::PmemDomain d;
   dur::DurWord w(0);
   d.attach(w);
-  dur::PmemDomain::ThreadCtx ctx(d);
   const stats::Snapshot before = stats::snapshot();
   w.store(1);
-  d.flush(ctx, w);
-  d.fence(ctx);
+  d.persist(w);
   w.store(2);
   d.persist(w);
   if (stats::kCompiledIn) {
@@ -590,26 +561,32 @@ TEST(RegistryChurn, JoinLeaveStormNoAliasing) {
   }
 }
 
-// Membership churn concurrent with figdur traffic: short-lived contexts
-// join, increment a few times, and leave (parking limbo on the orphan
-// stack) while a stable member hammers the same variable. No update may
-// be lost and no descriptor leaked.
-TEST(RegistryChurn, FigdurTrafficDuringChurn) {
-  Dur s(1, {.reserve = 2, .chunk = 4, .scan_threshold = 0, .max_members = 16});
-  Dur::Var var;
+// Membership churn concurrent with traffic: short-lived contexts join,
+// increment a few times, and leave (parking limbo on the orphan stack)
+// while a stable member runs `stable_ops` increments on the same
+// variable, or stops early at a wall-clock bound that only slow
+// (sanitized) builds reach. No update may be lost and no descriptor
+// leaked. A two-descriptor reserve keeps the pool running dry, so a
+// dry allocator must wait out the scanner that adopted the orphan pile.
+template <class S>
+void traffic_during_churn(S& s, std::uint64_t stable_ops) {
+  typename S::Var var;
   s.init_var(var, 0);
   // Held for the whole episode: every churner's join overlaps this
   // membership, so high_water >= 2 is deterministic, not scheduling luck.
-  std::optional<Dur::ThreadCtx> anchor(s.make_ctx());
+  std::optional<typename S::ThreadCtx> anchor(s.make_ctx());
   std::atomic<std::uint64_t> successes{0};
   std::atomic<bool> stop{false};
   std::thread stable([&] {
     auto ctx = s.make_ctx();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     std::uint64_t local = 0;
-    for (std::uint64_t i = 0; i < scaled_budget(20000); ++i) {
-      Dur::Keep keep;
+    for (std::uint64_t i = 0; i < stable_ops; ++i) {
+      typename S::Keep keep;
       const auto v = s.ll(ctx, var, keep);
       local += s.sc(ctx, var, keep, v + 1);
+      if (i % 4096 == 0 && std::chrono::steady_clock::now() > deadline) break;
     }
     successes.fetch_add(local);
     stop.store(true, std::memory_order_release);
@@ -621,7 +598,7 @@ TEST(RegistryChurn, FigdurTrafficDuringChurn) {
       do {
         auto ctx = s.make_ctx();  // join under load
         for (int i = 0; i < 4; ++i) {
-          Dur::Keep keep;
+          typename S::Keep keep;
           const auto v = s.ll(ctx, var, keep);
           local += s.sc(ctx, var, keep, v + 1);
         }
@@ -639,6 +616,20 @@ TEST(RegistryChurn, FigdurTrafficDuringChurn) {
   EXPECT_EQ(s.pool_free_quiescent() + s.orphans_quiescent() + 1,
             s.pool_capacity())
       << "descriptors leaked through departing members";
+}
+
+TEST(RegistryChurn, FigdurTrafficDuringChurn) {
+  Dur s(1, {.reserve = 2, .chunk = 4, .scan_threshold = 0, .max_members = 16});
+  traffic_during_churn(s, scaled_budget(20000));
+}
+
+// The same body on figbw, whose dry allocator must likewise retry until
+// the scanner holding the orphan pile spills it back. The stable budget
+// is large because the pool runs dry only now and then: an allocator
+// that gives up after one scan aborts well inside it.
+TEST(RegistryChurn, FigbwTrafficDuringChurn) {
+  BwLlsc<> s(17, 2, {.reserve = 2, .chunk = 4});
+  traffic_during_churn(s, scaled_budget(2'000'000));
 }
 
 // ---------------------------------------------------------------------

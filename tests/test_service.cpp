@@ -457,6 +457,60 @@ TEST(KvService, StopShedsAndCountsDrain) {
   }
 }
 
+// Session exhaustion ends in a defined status: a connect() past
+// max_sessions returns a handle that holds no session, whose submits shed
+// (counted as svc_shed), whose polls take no other session's ticket, and
+// whose destruction releases nothing. A session freed by a disconnect is
+// leased again.
+TEST(KvService, ConnectPastMaxSessionsIsRefused) {
+  CountingScope counting;
+  Sub sub;
+  Svc svc(sub, {.queues = 1,
+                .queue_capacity = 64,
+                .workers = 0,
+                .max_sessions = 2,
+                .tickets_per_session = 4,
+                .use_rings = false,
+                .map = {.shards = 1, .buckets_per_shard = 4,
+                        .capacity_per_shard = 32}});
+  auto a = svc.connect();
+  std::optional<Svc::ClientCtx> b(svc.connect());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b->connected());
+  auto w = svc.make_worker_ctx();
+  const auto ta = svc.submit(a, Op::kUpsert, 1, 10);
+  ASSERT_TRUE(ta.has_value());
+  EXPECT_EQ(svc.pump(w), 1u);
+  const auto before = stats::snapshot();
+  {
+    auto refused = svc.connect();
+    EXPECT_FALSE(refused.connected());
+    EXPECT_FALSE(svc.submit(refused, Op::kUpsert, 1, 1).has_value())
+        << "a refused handle must shed, not index a session";
+    EXPECT_FALSE(svc.poll(refused, *ta).has_value())
+        << "a refused handle must not take another session's ticket";
+    if constexpr (stats::kCompiledIn) {
+      const auto d = stats::snapshot() - before;
+      EXPECT_EQ(d[stats::Id::kSvcShed], 1u);
+      EXPECT_EQ(d[stats::Id::kSvcEnqueue], 0u);
+    }
+  }  // destroying the refused handle must not release a's or b's lease
+  const auto ra = svc.poll(a, *ta);
+  ASSERT_TRUE(ra.has_value());
+  EXPECT_EQ(ra->status, Status::kOk);
+
+  b.reset();
+  auto c = svc.connect();
+  ASSERT_TRUE(c.connected()) << "a disconnect must free its session";
+  const auto t = svc.submit(c, Op::kUpsert, 2, 20);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(svc.pump(w), 1u);
+  const auto r = svc.poll(c, *t);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, Status::kOk);
+  EXPECT_FALSE(svc.connect().connected()) << "both sessions are held again";
+}
+
 // ---------------------------------------------------------------------
 // Malformed txn payloads. submit/submit_multi admit a request without
 // inspecting its values or its key set, so the executor must refuse what

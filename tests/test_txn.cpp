@@ -12,8 +12,10 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -264,9 +266,22 @@ TEST(KvServiceTxn, MultiOpRoundTrip) {
   EXPECT_EQ(wit[1], Txn::wire(35));
 }
 
+// This process's virtual size in KiB (the VmSize line of
+// /proc/self/status), or 0 where that file is unavailable.
+std::uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
 // Txn mode with an elastic pool: each grow/shrink cycle spawns workers
 // whose txn ctxs lease STM pids, and retiring workers return them, so the
-// pool cycles indefinitely on a store sized for concurrent ctxs.
+// pool cycles indefinitely on a store sized for concurrent ctxs. Retired
+// workers are joined as the pool grows again, so the cycles do not
+// accumulate thread stacks either: virtual size stays flat after warm-up.
 TEST(KvServiceTxn, ElasticPoolReturnsStmPids) {
   Sub sub;
   Svc svc(sub, {.workers = 1,
@@ -276,7 +291,10 @@ TEST(KvServiceTxn, ElasticPoolReturnsStmPids) {
                 .batch = 1,
                 .txn = true,
                 .map = small_map()});
-  constexpr std::uint64_t kCycles = 12, kClients = 2, kUpserts = 300;
+  // Enough cycles that one leaked 8 MiB stack per cycle clears the
+  // 256 MiB bound below, wherever scheduling spawns only one worker.
+  constexpr std::uint64_t kCycles = 48, kClients = 2, kUpserts = 300;
+  std::uint64_t warm_kib = 0;
   for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
     std::vector<std::thread> clients;
     for (std::uint64_t c = 0; c < kClients; ++c) {
@@ -302,9 +320,17 @@ TEST(KvServiceTxn, ElasticPoolReturnsStmPids) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_EQ(svc.live_workers(), 1u) << "pool stuck above its floor";
+    if (cycle == 1) warm_kib = vm_size_kib();
   }
   EXPECT_GE(svc.worker_registry().high_water(), 2u)
       << "the pool never grew, so no pid was ever returned";
+  const std::uint64_t end_kib = vm_size_kib();
+  if (warm_kib != 0 && end_kib != 0) {
+    EXPECT_LT(end_kib, warm_kib + 256 * 1024)
+        << "VmSize grew from " << warm_kib << " KiB after cycle 2 to "
+        << end_kib << " KiB after cycle " << kCycles
+        << ": retired workers' threads are not being joined";
+  }
 
   auto sess = svc.connect();
   for (std::uint64_t c = 0; c < kClients; ++c) {
