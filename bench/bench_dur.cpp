@@ -158,7 +158,7 @@ void recovery_table(moir::bench::Harness& h) {
 
 void elastic_service_run(moir::bench::Harness& h) {
   using Svc = moir::svc::KvService<Dur, moir::reclaim::EpochReclaimer>;
-  // k = 4: the dispatcher's MS queue keeps three LL-SC sequences open.
+  // k = 4 is slack: the map holds one LL-SC sequence open at a time.
   Dur sub(4);
   Svc svc(sub, {.queues = 2,
                 .workers = 1,
@@ -168,7 +168,6 @@ void elastic_service_run(moir::bench::Harness& h) {
                 .batch = 1,
                 .max_sessions = 4,
                 .tickets_per_session = 16,
-                .use_rings = true,
                 .map = {.shards = 4, .buckets_per_shard = 16,
                         .capacity_per_shard = 1024}});
 

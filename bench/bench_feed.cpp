@@ -89,7 +89,6 @@ typename Svc::Config feed_bench_config() {
   cfg.workers = 2;
   cfg.max_sessions = 2;
   cfg.tickets_per_session = 16;
-  cfg.use_rings = true;
   cfg.feed = true;
   cfg.feed_max_subscribers = 72;
   cfg.map = {.shards = kQueues, .buckets_per_shard = 64,
@@ -259,9 +258,9 @@ int main(int argc, char** argv) {
   std::uint64_t violations = 0;
   violations +=
       fanout_table(h, "fig4", [] { return moir::CasBackedLlsc<16>(); });
-  // Pid budget for the tag substrates: sessions x queue ctxs + worker and
-  // router map ctxs per service lifetime, never returned — sized with
-  // slack for one service each.
+  // Pid budget for the tag substrates: worker and manual-pumper map ctxs
+  // per service lifetime, never returned — sized with slack for one
+  // service each.
   violations +=
       fanout_table(h, "fig7", [] { return moir::BoundedLlsc<>(32, /*k=*/3); });
   violations +=

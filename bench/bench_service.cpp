@@ -1,20 +1,18 @@
 // E13 (service pipeline): the wait-free KV request pipeline (src/svc/) —
-// SPSC client rings -> routing -> per-shard MS-queues (the paper's LL/SC +
-// SMR on the serving hot path) -> batching executors over the sharded map.
-// Routing is a worker role: each worker pass try-claims it, drains the
-// rings into the queues, then executes.
+// SPSC client rings -> routing -> per-shard SPSC lanes -> batching
+// executors over the sharded map (the paper's LL/SC + SMR on the serving
+// hot path). Routing is a worker role: each worker pass try-claims it,
+// drains the rings into the lanes, then try-claims each lane and executes.
 //
 // Sweeps:
 //   * executor batch size B in {1,4,16,64} x substrate (fig4 CAS-backed vs
-//     fig7 bounded-tag) at 8 closed-loop clients — batching amortizes the
-//     queue's reclaimer bracket and the shard rotor, so B=16 should beat
+//     fig7 bounded-tag vs figbw) at 8 closed-loop clients — batching
+//     amortizes the lane claim and the shard rotor, so B=16 should beat
 //     B=1;
-//   * closed-loop client scaling {1,2,4,8} at B=16;
-//   * ingress mode: full ring pipeline vs clients enqueueing into the
-//     shard queues directly (one hop shorter, one contention point more).
-//     The table's "rings+router" row is the ring pipeline with the rings
-//     routed by whichever worker holds the routing claim;
-//   * dispatch-queue count {1,4} at 8 clients (the MPMC bottleneck);
+//   * closed-loop client scaling {1,2,4,8} at B=16; the 4-client row is
+//     also the "rings+router" pipeline-shape row;
+//   * shard count {1,4} at 8 clients (with one shard, both workers take
+//     turns on one lane);
 //   * open-loop Poisson arrivals at an under-capacity and an over-capacity
 //     rate: latency is measured from the SCHEDULED arrival, so queueing
 //     delay shows up honestly, and the over-capacity point must shed
@@ -63,7 +61,7 @@ double mops_of(const std::string& name) {
 
 template <class Svc>
 typename Svc::Config svc_config(unsigned clients, unsigned batch,
-                                unsigned queues, bool use_rings) {
+                                unsigned queues) {
   typename Svc::Config cfg;
   cfg.queues = queues;
   cfg.queue_capacity = 1024;
@@ -71,7 +69,6 @@ typename Svc::Config svc_config(unsigned clients, unsigned batch,
   cfg.batch = batch;
   cfg.max_sessions = clients;
   cfg.tickets_per_session = 64;
-  cfg.use_rings = use_rings;
   cfg.map = {.shards = queues, .buckets_per_shard = 64,
              .capacity_per_shard = 4096};
   return cfg;
@@ -79,12 +76,9 @@ typename Svc::Config svc_config(unsigned clients, unsigned batch,
 
 // Substrate process-slot budget for one run: BoundedLlsc pids are leased
 // per ThreadCtx and never returned, so size for the lifetime total — each
-// session and each worker hold one queue-ctx per dispatch queue (a worker
-// routes with its own), each worker additionally a map ctx, plus the
-// preloader and slack.
-unsigned fig7_processes(unsigned clients, unsigned queues) {
-  return clients * queues + 3 * (queues + 1) + 8;
-}
+// worker holds a map ctx, plus the preloader and slack. Sessions and
+// routing hold none.
+unsigned fig7_processes() { return 2 + 1 + 8; }
 
 // Closed-loop clients pipeline kPipeline requests: submit until the
 // window is full, then complete-one/submit-one. Without pipelining an
@@ -167,9 +161,9 @@ void preload(moir::svc::KvService<S, EpochReclaimer>& svc) {
 template <class S>
 void closed_loop_run(moir::bench::Harness& h, const std::string& name,
                      S& substrate, unsigned clients, unsigned batch,
-                     unsigned queues, bool use_rings) {
+                     unsigned queues) {
   using Svc = moir::svc::KvService<S, EpochReclaimer>;
-  Svc svc(substrate, svc_config<Svc>(clients, batch, queues, use_rings));
+  Svc svc(substrate, svc_config<Svc>(clients, batch, queues));
   preload(svc);
 
   using Pipe = PipelinedClient<Svc, typename Svc::ClientCtx>;
@@ -204,8 +198,7 @@ void open_loop_run(moir::bench::Harness& h, const std::string& name,
                    S& substrate, unsigned clients, double mean_ns,
                    std::uint64_t* sheds_out) {
   using Svc = moir::svc::KvService<S, EpochReclaimer>;
-  Svc svc(substrate, svc_config<Svc>(clients, /*batch=*/16, /*queues=*/4,
-                                     /*use_rings=*/true));
+  Svc svc(substrate, svc_config<Svc>(clients, /*batch=*/16, /*queues=*/4));
   preload(svc);
 
   std::vector<typename Svc::ClientCtx> ctxs;
@@ -305,52 +298,47 @@ int main(int argc, char** argv) {
   moir::bench::Harness h(argc, argv, "bench_service");
   h.header(
       "E13: wait-free KV request pipeline — batch size x substrate, client "
-      "scaling, ring vs direct ingress, open-loop Poisson latency",
-      "a request pipeline built entirely from the paper's primitives (LL/SC "
-      "MS-queues + SMR + sharded map) serves closed- and open-loop traffic, "
-      "sheds under overload instead of blocking, and batching amortizes the "
-      "per-pop reclaimer bracket");
+      "scaling, shard count, open-loop Poisson latency",
+      "a request pipeline of SPSC rings and lanes over the paper's "
+      "primitives (LL/SC + SMR + sharded map) serves closed- and open-loop "
+      "traffic, sheds under overload instead of blocking, and batching "
+      "amortizes the per-lane claim");
 
   // Batch-size sweep at 8 closed-loop clients, both substrates.
   for (const unsigned batch : {1u, 4u, 16u, 64u}) {
     moir::CasBackedLlsc<16> fig4;
     closed_loop_run(h, "batch/fig4/B" + std::to_string(batch) + "/t8", fig4,
-                    8, batch, 4, /*use_rings=*/true);
+                    8, batch, 4);
   }
   for (const unsigned batch : {1u, 4u, 16u, 64u}) {
-    moir::BoundedLlsc<> fig7(fig7_processes(8, 4), /*k=*/3);
+    moir::BoundedLlsc<> fig7(fig7_processes(), /*k=*/3);
     closed_loop_run(h, "batch/fig7/B" + std::to_string(batch) + "/t8", fig7,
-                    8, batch, 4, /*use_rings=*/true);
+                    8, batch, 4);
   }
   for (const unsigned batch : {1u, 4u, 16u, 64u}) {
-    moir::BwLlsc<> figbw(fig7_processes(8, 4), /*k=*/3);
+    moir::BwLlsc<> figbw(fig7_processes(), /*k=*/3);
     closed_loop_run(h, "batch/figbw/B" + std::to_string(batch) + "/t8",
-                    figbw, 8, batch, 4, /*use_rings=*/true);
+                    figbw, 8, batch, 4);
   }
 
   // Client scaling at B=16 on fig4.
   for (const unsigned clients : {1u, 2u, 4u}) {
     moir::CasBackedLlsc<16> fig4;
     closed_loop_run(h, "clients/fig4/B16/t" + std::to_string(clients), fig4,
-                    clients, 16, 4, /*use_rings=*/true);
+                    clients, 16, 4);
   }
 
-  // Ingress mode at 4 clients: full pipeline vs direct dispatch.
+  // The pipeline at 4 clients.
   {
     moir::CasBackedLlsc<16> fig4;
-    closed_loop_run(h, "ingress/rings/t4", fig4, 4, 16, 4, /*use_rings=*/true);
-  }
-  {
-    moir::CasBackedLlsc<16> fig4;
-    closed_loop_run(h, "ingress/direct/t4", fig4, 4, 16, 4,
-                    /*use_rings=*/false);
+    closed_loop_run(h, "ingress/rings/t4", fig4, 4, 16, 4);
   }
 
-  // Dispatch-queue count at 8 clients (shards track queues).
+  // Shard count at 8 clients (map shards track lanes).
   for (const unsigned queues : {1u, 4u}) {
     moir::CasBackedLlsc<16> fig4;
     closed_loop_run(h, "queues/fig4/q" + std::to_string(queues) + "/t8",
-                    fig4, 8, 16, queues, /*use_rings=*/true);
+                    fig4, 8, 16, queues);
   }
 
   // Open loop: under capacity (50us mean interarrival per client) and far
@@ -391,8 +379,6 @@ int main(int argc, char** argv) {
     moir::Table t("pipeline shape, 4 clients, B=16 (Mops/s)");
     t.columns({"config", "Mops/s"});
     t.row({"rings+router", moir::Table::num(mops_of("ingress/rings/t4"), 3)});
-    t.row({"direct dispatch",
-           moir::Table::num(mops_of("ingress/direct/t4"), 3)});
     h.table(t);
   }
 

@@ -1,7 +1,7 @@
 // Minimal KV service session: four client threads drive mixed traffic
 // through the full wait-free pipeline (SPSC ring -> routing by whichever
-// worker holds the claim -> LL/SC MS-queues -> batching executors ->
-// sharded map), then the tail latency
+// worker holds the claim -> per-shard SPSC lanes -> batching executors,
+// one per lane at a time -> sharded map), then the tail latency
 // comes out of the stats layer's svc_latency histogram. Part 2 runs a
 // teller workload in transaction mode and insists the books balance.
 //

@@ -89,7 +89,7 @@ class BroadcastRing {
   static constexpr std::uint32_t capacity() { return kCap; }
 
   // Writer side — single writer per ring (the service enforces this with
-  // the per-queue executor claim; see svc/service.hpp). Returns the
+  // the per-lane executor claim; see svc/service.hpp). Returns the
   // record's sequence number.
   std::uint64_t publish(std::uint64_t key, std::uint64_t value) {
     const std::uint64_t seq = head_.load(std::memory_order_relaxed);

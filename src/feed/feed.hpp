@@ -4,8 +4,8 @@
 // One BroadcastRing per shard; the shard's executor publishes every
 // committed write (insert/upsert/erase) right after the map operation, so
 // a ring's record order IS the shard's commit order (the service's
-// per-queue executor claim makes the executor the ring's single writer,
-// and key-hashed dispatch puts all writes to one key on one ring).
+// per-lane executor claim makes the executor the ring's single writer,
+// and key-hashed routing puts all writes to one key on one ring).
 //
 // A subscription watches exactly one ring — a key filter watches the ring
 // of shard_of(key) and delivers only that key's records; a shard filter
@@ -146,7 +146,7 @@ class ChangeFeed {
   // Reader side. Fills up to `max` records; `resync(key)` must return the
   // key's current wire-form value from the authoritative map. nullopt, with
   // nothing read, when `token` is not a live subscription. Calls for one
-  // subscription must be serialized by the caller (the service's per-queue
+  // subscription must be serialized by the caller (the service's per-lane
   // claim does this; a direct subscriber is naturally its own single
   // poller) — the cursor is deliberately not atomic.
   template <class ResyncFn>

@@ -248,39 +248,6 @@ class ReclaimedMsQueue {
 
   std::optional<std::uint64_t> dequeue(ThreadCtx& ctx) {
     reclaimer_.enter(ctx.rec);
-    const std::optional<std::uint64_t> out = dequeue_entered(ctx);
-    reclaimer_.clear(ctx.rec, 0);
-    reclaimer_.clear(ctx.rec, 1);
-    reclaimer_.exit(ctx.rec);
-    return out;
-  }
-
-  // Pops up to `max` values into `out` under a SINGLE reclaimer
-  // enter/exit — the announcement (hazard publication or epoch pin) is
-  // amortized over the whole batch, which is the batching executor's main
-  // per-request saving. Returns the number popped (0 = empty). Holding the
-  // epoch pin across the batch delays reclamation by at most `max`
-  // dequeues, a bound the caller picks.
-  unsigned dequeue_batch(ThreadCtx& ctx, std::uint64_t* out, unsigned max) {
-    if (max == 0) return 0;
-    reclaimer_.enter(ctx.rec);
-    unsigned n = 0;
-    while (n < max) {
-      const auto v = dequeue_entered(ctx);
-      if (!v) break;
-      out[n++] = *v;
-    }
-    reclaimer_.clear(ctx.rec, 0);
-    reclaimer_.clear(ctx.rec, 1);
-    reclaimer_.exit(ctx.rec);
-    return n;
-  }
-
- private:
-  // One dequeue attempt loop, assuming the caller already entered the
-  // reclaimer. Leaves hazard slots 0/1 dirty; the caller clears them once
-  // per enter/exit bracket.
-  std::optional<std::uint64_t> dequeue_entered(ThreadCtx& ctx) {
     std::optional<std::uint64_t> out;
     for (;;) {
       typename S::Keep kh, kt, kn;
@@ -341,10 +308,12 @@ class ReclaimedMsQueue {
       substrate_.cl(ctx.sub, kt);
       substrate_.cl(ctx.sub, kn);
     }
+    reclaimer_.clear(ctx.rec, 0);
+    reclaimer_.clear(ctx.rec, 1);
+    reclaimer_.exit(ctx.rec);
     return out;
   }
 
- public:
   bool empty() const {
     return substrate_.read(head_) == substrate_.read(tail_);
   }

@@ -1,24 +1,27 @@
 // KvService: the wait-free request pipeline over the sharded map.
 //
-//   client --(SPSC ring, 1 per session)--> routing --+
-//   client --------(direct dispatch)-----------------+--> per-shard MPMC
-//                                                         MS-queues (LL/SC
-//   routing: a role the workers claim in turn,            + Reclaimer)
-//   not a thread of its own (see serve())            workers pop batches of
-//                                                    <= B, execute on the
-//                                                    ShardedHashMap, publish
-//                                                    seqlock responses the
-//                                                    clients poll
+//   client --(SPSC ring,  --> routing --(SPSC lane,   --> lane-claim holder
+//            1 per session)             1 per shard)
+//
+//   routing: a role the workers claim in    workers try-claim a lane, pop
+//   turn, not a thread of its own (see      batches of <= B, execute on the
+//   serve()); the holder is every ring's    ShardedHashMap, publish seqlock
+//   one consumer and every lane's one       responses the clients poll
+//   producer
 //
 // End-to-end progress argument (docs/SERVICE.md has the long form): no
 // stage ever waits for another stage inside an operation. Admission either
 // takes a free ticket or returns EBUSY (shed) immediately; ring push either
-// succeeds or sheds; routing either enqueues or completes the ticket with
-// kOverload; queue and map operations are lock-free through the paper's
-// LL/SC; response publication is a single release store. The only waiting
-// in the subsystem is *voluntary* (wait() spinning on a ticket the caller
-// chose to block on, idle workers between passes), through the futex-free
-// SpinWait. A preempted claim holder delays routing, never execution.
+// succeeds or sheds; routing either pushes into the lane or completes the
+// ticket with kOverload; ring and lane steps are wait-free Lamport pushes
+// and pops, and map operations are lock-free through the paper's LL/SC;
+// response publication is a single release store. The only waiting in the
+// subsystem is *voluntary* (wait() spinning on a ticket the caller chose
+// to block on, idle workers between passes), through the futex-free
+// SpinWait. Claims are try-claims, so no worker waits for one; but a
+// preempted claim holder delays what its claim covers: the routing-claim
+// holder delays routing, and a lane-claim holder delays that lane's
+// requests, no other lane's.
 //
 // Sessions reuse the LeaseRegistry slot discipline: connect() leases a
 // dense session id whose preallocated SessionState (ticket slots + ring)
@@ -26,9 +29,8 @@
 // slot across reuse, so a stale done word can never match a fresh ticket.
 //
 // Shutdown contract: stop() flips draining (subsequent submits shed), and
-// the workers drain rings before queues: with rings on, a worker exits
-// only after a pass that held the routing claim, routed nothing and found
-// every shard queue empty. Every ALREADY-SUBMITTED ticket thus completes
+// the workers drain rings before lanes: a worker exits only after a pass
+// that held the routing claim, routed nothing and found every lane empty. Every ALREADY-SUBMITTED ticket thus completes
 // (counted as svc_drain) before stop() joins. Callers must stop submitting
 // before calling stop() concurrently with in-flight submits — the
 // graceful-drain guarantee covers requests, not racing admission calls.
@@ -52,33 +54,35 @@
 #include "platform/yield_point.hpp"
 #include "reclaim/reclaimer.hpp"
 #include "stats/stats.hpp"
-#include "svc/dispatcher.hpp"
 #include "svc/spsc_ring.hpp"
+#include "svc/ticket.hpp"
 #include "txn/txn_kv.hpp"
 #include "util/assertion.hpp"
 #include "util/stopwatch.hpp"
 
 namespace moir::svc {
 
-// RingCap: per-session SPSC ring capacity (compile-time power of two).
+// RingCap: per-session SPSC ring capacity (a power of two).
 // FeedRingCap: per-shard broadcast-ring capacity in feed mode (tiny in the
 // adversarial exploration tests, 64 for real deployments).
+// SkipLaneClaim is a PLANTED BUG for the verifier: pump() pops and executes
+// a lane without its claim, so two pumpers can both be the lane's consumer
+// and pop one handle twice. Only the negative-control tests instantiate it.
 template <SmallLlscSubstrate S, reclaim::Reclaimer R,
-          std::uint32_t RingCap = 64, std::uint32_t FeedRingCap = 64>
+          std::uint32_t RingCap = 64, std::uint32_t FeedRingCap = 64,
+          bool SkipLaneClaim = false>
 class KvService {
  public:
   using Map = ShardedHashMap<S, R>;
-  using Disp = Dispatcher<S, R>;
   using Txn = txn::TxnKv<S, R>;
-  using Ring = SpscRing<RingCap>;
   using Feed = feed::ChangeFeed<FeedRingCap>;
 
   static_assert(kMaxTxnKeys == Txn::kMaxTxnKeys,
-                "dispatcher slot arrays must fit a full transaction");
+                "ticket slot arrays must fit a full transaction");
 
   struct Config {
-    unsigned queues = 4;                 // dispatch shards
-    std::uint32_t queue_capacity = 1024; // nodes per shard queue
+    unsigned queues = 4;                 // shards, one lane each
+    std::uint32_t queue_capacity = 1024; // slots per lane, a power of two
     unsigned workers = 2;                // floor; 0 = manual pump (tests)
     // Elastic pool ceiling: 0 (default) pins the pool at `workers`; > 0
     // lets the pool grow itself up to this many workers under load and
@@ -95,9 +99,6 @@ class KvService {
     unsigned batch = 16;                 // B: max requests per executor pop
     unsigned max_sessions = 8;           // concurrent clients
     std::uint32_t tickets_per_session = 64;  // in-flight window W
-    // Ingress mode: true = client -> ring -> routing -> shard queue (the
-    // full pipeline), false = client enqueues into the shard queue itself.
-    bool use_rings = true;
     // Transaction mode: values live in the txn layer's per-node Mcas
     // cells (insert-only map discipline) and the kMulti* ops are
     // accepted. Single-key semantics are unchanged; off (the default)
@@ -105,9 +106,9 @@ class KvService {
     bool txn = false;
     // Change-feed mode: every committed write is broadcast on the key's
     // shard ring and the kSubscribe/kUnsubscribe/kPoll verbs are accepted
-    // (src/feed/feed.hpp). Feed mode serializes each dispatch queue's
-    // execution through a try-claim so the queue's ring has a single
-    // writer (see pump()); mutually exclusive with txn mode, whose
+    // (src/feed/feed.hpp). Each lane's claim serializes its shard's
+    // execution, so the shard's broadcast ring has a single writer (see
+    // pump()). Mutually exclusive with txn mode, whose
     // authoritative values live in Mcas cells the plain commit path never
     // sees.
     bool feed = false;
@@ -161,7 +162,6 @@ class KvService {
 
   // Executor-side contexts; one per worker (or per manual pumper).
   struct WorkerCtx {
-    typename Disp::ThreadCtx dctx;
     std::vector<std::uint64_t> buf;  // batch buffer, cfg.batch entries
     unsigned rotor = 0;              // round-robin start shard
     // The store's context, one map context either way: the map's own, or
@@ -175,25 +175,29 @@ class KvService {
     void operator()(std::uint64_t, const Response&) const {}
   };
 
+  // Routing holds no per-thread state: the rings' consumer fields and the
+  // lanes' producer fields pass from router to router with the routing
+  // claim. RouterCtx is the empty token manual routers pass to
+  // pump_router/pump_session.
+  struct RouterCtx {};
+
   struct Pass {  // what one serve() pass did
-    bool routing = false;   // held the routing claim (rings mode)
+    bool routing = false;   // held the routing claim
     unsigned routed = 0;    // ring entries moved while holding it
-    unsigned executed = 0;  // requests the shard-queue pump completed
+    unsigned executed = 0;  // requests the lane pump completed
   };
 
   explicit KvService(S& substrate, Config cfg = {})
       : cfg_(cfg),
         worker_ceiling_(std::max(cfg.workers, cfg.max_workers)),
-        // Concurrent ThreadCtx holders across the shard-queue reclaimers,
-        // the map reclaimer and the txn store's STM: one per session, one
-        // per worker at the elastic ceiling (it routes with its own ctx),
-        // and two of slack for manual pumping (router + worker ctx) or a
-        // preloader. The ceiling term is doubled: a retiring worker still
+        // Concurrent ThreadCtx holders across the map reclaimer and the txn
+        // store's STM: one per worker at the elastic ceiling, and two of
+        // slack for manual pumpers or a preloader. Sessions and routers
+        // hold none. The ceiling term is doubled: a retiring worker still
         // holds its ctx while its replacement may already be spinning up.
         // Every txn ctx also holds a map ctx, so STM pids cannot run out
         // before the map reclaimer's ids do.
-        max_threads_(cfg.max_sessions + 2 * worker_ceiling_ + 2),
-        disp_(substrate, max_threads_, cfg.queues, cfg.queue_capacity),
+        max_threads_(2 * worker_ceiling_ + 2),
         map_(substrate, max_threads_, cfg.map),
         session_reg_(cfg.max_sessions),
         worker_reg_(2 * worker_ceiling_ + 2) {
@@ -206,7 +210,10 @@ class KvService {
     if (cfg_.txn) txn_ = std::make_unique<Txn>(map_, max_threads_);
     if (cfg_.feed) {
       feed_ = std::make_unique<Feed>(cfg_.queues, cfg_.feed_max_subscribers);
-      queue_claims_ = std::make_unique<std::atomic<bool>[]>(cfg_.queues);
+    }
+    lanes_.reserve(cfg_.queues);
+    for (unsigned q = 0; q < cfg_.queues; ++q) {
+      lanes_.push_back(std::make_unique<Lane>(cfg_.queue_capacity));
     }
     sessions_.reserve(cfg_.max_sessions);
     for (unsigned i = 0; i < cfg_.max_sessions; ++i) {
@@ -242,16 +249,14 @@ class KvService {
     for (std::uint32_t i = cfg_.tickets_per_session; i > 0; --i) {
       ss.free.push_back(i - 1);
     }
-    ss.dctx = disp_.make_ctx();
     ss.live.store(true, std::memory_order_release);
     return ClientCtx(this, sid);
   }
 
   // Admission + enqueue. Returns the ticket to poll, or nullopt (EBUSY)
   // when the request is shed: the handle holds no session, service
-  // draining, the per-session in-flight window is exhausted, the session
-  // ring is full, or (direct mode) the shard queue's node pool is
-  // exhausted. Never blocks.
+  // draining, the per-session in-flight window is exhausted, or the
+  // session ring is full. Never blocks.
   std::optional<Ticket> submit(ClientCtx& c, Op op, std::uint64_t key,
                                std::uint64_t value = 0) {
     return admit(c, op, key, value, {}, {}, {});
@@ -348,8 +353,8 @@ class KvService {
   // manually when cfg.workers == 0) ----------------------------------------
 
   WorkerCtx make_worker_ctx() {
-    WorkerCtx w{disp_.make_ctx(), std::vector<std::uint64_t>(cfg_.batch), 0,
-                std::nullopt, nullptr};
+    WorkerCtx w{std::vector<std::uint64_t>(cfg_.batch), 0, std::nullopt,
+                nullptr};
     if (txn_) {
       w.tctx = std::make_unique<typename Txn::ThreadCtx>(txn_->make_ctx());
     } else {
@@ -358,7 +363,7 @@ class KvService {
     return w;
   }
 
-  typename Disp::ThreadCtx make_router_ctx() { return disp_.make_ctx(); }
+  RouterCtx make_router_ctx() { return {}; }
 
   // Instrumentation: the slot behind a handle. Race-free only where the
   // completion handshake already orders the reads — inside a pump
@@ -368,30 +373,31 @@ class KvService {
     return sessions_[handle_session(handle)]->slots[handle_slot(handle)];
   }
 
-  // One pass over the shard queues: pops up to B handles per queue under a
-  // single reclaimer bracket each, executes them against the map, and
-  // publishes responses. Returns requests completed. `obs(handle,
-  // response)` fires after the map operation and before the publication —
-  // the test harness's completion timestamp hook.
+  // One pass over the shard lanes. A lane is popped and executed only
+  // while its TRY-claim is held, so a shard runs on one worker at a time:
+  // the lane keeps one consumer, as an SPSC ring requires, and in feed mode
+  // the shard's broadcast ring keeps one writer. A worker that loses a
+  // claim moves on to the next lane (the holder is executing the very
+  // batch the loser wanted, so system-wide progress is unchanged; a parked
+  // holder stalls only its own lane, as a parked routing-claim holder
+  // stalls only routing). The release/acquire pair on the claim word hands
+  // the lane's consumer-private head index and cached tail — and in feed
+  // mode the ring's writer role and the subscription cursors, which ride
+  // the same key-hashed routing — from one worker to the next.
   //
-  // Feed mode additionally wraps each queue's batch in a TRY-claim: the
-  // broadcast ring wants one writer per shard, and the claim makes queue
-  // execution exclusive without blocking — a worker that loses the race
-  // just moves to the next queue (the holder is executing the very batch
-  // the loser wanted, so system-wide progress is unchanged; a parked
-  // holder stalls only its own queue, as a parked routing-claim holder
-  // stalls only routing). The release/acquire pair on the claim word
-  // also carries the happens-before edge that hands the ring's writer
-  // role — and the feed-op subscription cursors, which ride the same
-  // key-hashed routing — from one worker to the next.
+  // Pops up to B handles per lane, executes them against the store, and
+  // publishes responses. Returns requests completed. `obs(handle,
+  // response)` fires after the store operation and before the publication
+  // — the test harness's completion timestamp hook.
   template <class Observer = NoObserver>
   unsigned pump(WorkerCtx& w, Observer&& obs = {}) {
     unsigned total = 0;
-    const unsigned nq = disp_.queue_count();
+    const unsigned nq = cfg_.queues;
     for (unsigned i = 0; i < nq; ++i) {
-      const unsigned q = (w.rotor + i) % nq;
-      if (feed_ && !try_claim(queue_claims_[q])) continue;
-      const unsigned k = disp_.pop_batch(w.dctx, q, w.buf.data(), cfg_.batch);
+      Lane& lane = *lanes_[(w.rotor + i) % nq];
+      if (!SkipLaneClaim && !try_claim(lane.claim)) continue;
+      unsigned k = 0;
+      while (k < cfg_.batch && lane.ring.try_pop(w.buf[k])) ++k;
       if (k != 0) {
         stats::count(stats::Id::kSvcBatch);
         stats::record(stats::HistId::kSvcBatchSize, k);
@@ -402,30 +408,29 @@ class KvService {
         }
         total += k;
       }
-      if (feed_) release_claim(queue_claims_[q]);
+      if (!SkipLaneClaim) release_claim(lane.claim);
     }
-    w.rotor = nq == 0 ? 0 : (w.rotor + 1) % nq;
+    w.rotor = (w.rotor + 1) % nq;
     return total;
   }
 
-  // Route one session's ring into the shard queues. The ring is SPSC —
-  // its consumer must be unique, which serve()'s routing claim guarantees;
-  // manual pumpers calling this directly (tests with cfg.workers == 0)
-  // must likewise dedicate one pumper per session. A full shard queue
-  // completes the ticket with kOverload right here — shedding, not
-  // blocking, so a stalled executor cannot wedge routing. At most one
-  // ring's capacity is moved per call.
+  // Route one session's ring into the shard lanes. The caller must be the
+  // only router at the time: it is then the ring's one consumer and every
+  // lane's one producer. serve()'s routing claim guarantees that, and its
+  // release/acquire pair hands the ring's head and the lanes' tails (each
+  // with its cached opposite index) to the next holder; one dedicated
+  // router thread needs no claim. A full lane completes the ticket with
+  // kOverload right here — shedding, not blocking, so a stalled executor
+  // cannot wedge routing. At most one ring's capacity is moved per call.
   template <class Observer = NoObserver>
-  unsigned pump_session(typename Disp::ThreadCtx& rc, unsigned sid,
-                        Observer&& obs = {}) {
+  unsigned pump_session(RouterCtx, unsigned sid, Observer&& obs = {}) {
     SessionState& ss = *sessions_[sid];
-    constexpr std::uint32_t burst = Ring::capacity();
     unsigned moved = 0;
-    for (std::uint32_t i = 0; i < burst; ++i) {
+    for (std::uint32_t i = 0; i < RingCap; ++i) {
       std::uint64_t handle;
       if (!ss.ring.try_pop(handle)) break;
       TicketSlot& ts = ss.slots[handle_slot(handle)];
-      if (!disp_.enqueue(rc, ts.key, handle)) {
+      if (!lanes_[shard_of(ts.key)]->ring.try_push(handle)) {
         stats::count(stats::Id::kSvcShed);
         complete(ts, Response{Status::kOverload, 0}, handle, obs);
       }
@@ -436,7 +441,7 @@ class KvService {
 
   // One pass over all live session rings (the routing half of serve()).
   template <class Observer = NoObserver>
-  unsigned pump_router(typename Disp::ThreadCtx& rc, Observer&& obs = {}) {
+  unsigned pump_router(RouterCtx rc, Observer&& obs = {}) {
     unsigned moved = 0;
     for (unsigned sid = 0; sid < cfg_.max_sessions; ++sid) {
       if (!sessions_[sid]->live.load(std::memory_order_acquire)) continue;
@@ -445,24 +450,26 @@ class KvService {
     return moved;
   }
 
-  // One worker pass (worker_main's loop body): in rings mode, try-claim
-  // routing and route every live ring with this worker's own dispatch ctx;
-  // then pump the shard queues. A loser goes straight to pump(). The claim
-  // keeps each ring's consumer unique, and its release/acquire pair hands
-  // the consumer-private head index and cached tail to the next holder.
+  // One worker pass (worker_main's loop body): try-claim routing and route
+  // every live ring, then pump the lanes. A loser goes straight to pump().
   template <class Observer = NoObserver>
   Pass serve(WorkerCtx& w, Observer&& obs = {}) {
     Pass p;
-    if (cfg_.use_rings && try_claim(routing_claim_)) {
+    if (try_claim(routing_claim_)) {
       p.routing = true;
-      p.routed = pump_router(w.dctx, obs);
+      p.routed = pump_router({}, obs);
       release_claim(routing_claim_);
     }
     p.executed = pump(w, obs);
     return p;
   }
 
-  bool queues_empty() const { return disp_.all_empty(); }
+  bool queues_empty() const {
+    for (const auto& lane : lanes_) {
+      if (!lane->ring.empty_approx()) return false;
+    }
+    return true;
+  }
 
   // Direct map access for preload and post-run inspection AROUND measured
   // sections — not a bypass of the pipeline during one. In txn mode use
@@ -486,8 +493,12 @@ class KvService {
     MOIR_ASSERT(cfg_.feed);
     return *feed_;
   }
-  // The feed shard a key's commits are broadcast on (== dispatch queue).
-  unsigned shard_of(std::uint64_t key) const { return disp_.queue_of(key); }
+  // The shard — lane, and in feed mode broadcast ring — a key belongs to:
+  // the map's SplitMix64 route, so with equal counts a lane feeds exactly
+  // one map shard.
+  unsigned shard_of(std::uint64_t key) const {
+    return static_cast<unsigned>((hash_mix64(key) >> 32) % cfg_.queues);
+  }
 
   // ----- Shutdown ----------------------------------------------------------
 
@@ -527,15 +538,23 @@ class KvService {
  private:
   struct SessionState {
     explicit SessionState(const Config& cfg)
-        : slots(std::make_unique<TicketSlot[]>(cfg.tickets_per_session)) {
+        : slots(std::make_unique<TicketSlot[]>(cfg.tickets_per_session)),
+          ring(RingCap) {
       free.reserve(cfg.tickets_per_session);
     }
 
     std::unique_ptr<TicketSlot[]> slots;
-    Ring ring;
+    SpscRing ring;
     std::vector<std::uint32_t> free;  // client-thread-private ticket stack
-    typename Disp::ThreadCtx dctx;    // client-thread-only (direct mode)
     std::atomic<bool> live{false};
+  };
+
+  // One shard's lane. The claim sits on its own line: pumpers exchange it
+  // every pass, while the router only reads the ring's slot pointer.
+  struct Lane {
+    explicit Lane(std::uint32_t capacity) : ring(capacity) {}
+    alignas(kCacheLine) std::atomic<bool> claim{false};
+    SpscRing ring;
   };
 
   void disconnect(unsigned sid) {
@@ -543,14 +562,14 @@ class KvService {
     MOIR_ASSERT_MSG(ss.free.size() == cfg_.tickets_per_session,
                     "disconnect with in-flight or unconsumed tickets");
     ss.live.store(false, std::memory_order_release);
-    ss.dctx = typename Disp::ThreadCtx{};  // fold queue reclaimer state
     session_reg_.release(sid);
   }
 
   // The one admission path: writes the whole payload — the key count too,
   // so a reused slot never carries its previous tenant's key set; a key
   // set the executor cannot run is stored as none (nkeys = 0, which a
-  // kMulti* completes as kInvalid) — then enqueues the handle.
+  // kMulti* completes as kInvalid) — then pushes the handle into the
+  // session's ring.
   std::optional<Ticket> admit(ClientCtx& c, Op op, std::uint64_t key,
                               std::uint64_t value,
                               std::span<const std::uint64_t> keys,
@@ -581,9 +600,7 @@ class KvService {
     ts.gen += 1;
     ts.submit_ns = stats::counting_enabled() ? clock_.elapsed_ns() : 0;
     const std::uint64_t handle = make_handle(c.sid_, slot);
-    const bool ok = cfg_.use_rings ? ss.ring.try_push(handle)
-                                   : disp_.enqueue(ss.dctx, key, handle);
-    if (!ok) {
+    if (!ss.ring.try_push(handle)) {
       // The slot was never published; the gen bump is harmless and the
       // ticket stays free.
       stats::count(stats::Id::kSvcShed);
@@ -650,7 +667,7 @@ class KvService {
   // registration: a shed request (EBUSY at submit) provably never touched
   // a subscription lease. kSubscribe routes by the watched key, kPoll and
   // kUnsubscribe by the subscription token — constant per subscription, so
-  // all polls of one subscription land on one queue and the claim
+  // all polls of one subscription land on one lane and its claim
   // serializes its cursor (and every verb that could free or reuse this
   // subscription's slot). The executor does NOT trust a client-supplied
   // token: the ChangeFeed refuses one that is not live (never issued,
@@ -718,7 +735,7 @@ class KvService {
         const bool shard_filter = ts.value != 0;
         const unsigned shard =
             shard_filter ? static_cast<unsigned>(ts.key % cfg_.queues)
-                         : disp_.queue_of(ts.key);
+                         : shard_of(ts.key);
         const auto token =
             shard_filter ? feed_->subscribe(feed::Filter::kShard, shard)
                          : feed_->subscribe(feed::Filter::kKey, shard, ts.key);
@@ -759,12 +776,12 @@ class KvService {
     }
     // Broadcast a committed write on its shard's ring (feed mode only).
     // Published after the store operation and before the response, from
-    // inside the queue claim: the ring's single-writer requirement is
-    // exactly "one claim holder per queue", and dispatch queue == feed
-    // shard (both are queue_of(key)), so every write to a key lands on one
-    // ring in its commit order.
+    // inside the lane claim: the ring's single-writer requirement is
+    // exactly "one claim holder per lane", and lane == feed shard (both are
+    // shard_of(key)), so every write to a key lands on one ring in its
+    // commit order.
     if (committed && feed_) {
-      feed_->publish(disp_.queue_of(ts.key), ts.key, *committed);
+      feed_->publish(shard_of(ts.key), ts.key, *committed);
     }
     return r;
   }
@@ -818,9 +835,8 @@ class KvService {
           continue;
         }
         full_streak = 0;
-        // With rings on, only a pass that held the claim saw every ring.
-        if (draining && (p.routing || !cfg_.use_rings) &&
-            disp_.all_empty()) {
+        // Only a pass that held the routing claim saw every ring.
+        if (draining && p.routing && queues_empty()) {
           std::lock_guard<std::mutex> g(pool_mu_);
           --live_workers_;
           break;
@@ -872,9 +888,9 @@ class KvService {
     return true;
   }
 
-  // Routing and feed-mode queue try-claims: acquire on the winning exchange
-  // pairs with release_claim()'s store, ordering the previous holder's
-  // writes (ring indices, feed publishes, cursors) before ours.
+  // Routing and lane try-claims: acquire on the winning exchange pairs
+  // with release_claim()'s store, ordering the previous holder's writes
+  // (ring and lane indices, feed publishes, cursors) before ours.
   static bool try_claim(std::atomic<bool>& claim) {
     MOIR_YIELD_UPDATE(&claim);
     return !claim.exchange(true, std::memory_order_acquire);
@@ -889,20 +905,16 @@ class KvService {
   const unsigned worker_ceiling_;
   const unsigned max_threads_;
   Stopwatch clock_;  // latency origin for the svc_latency histogram
-  // Declaration order is destruction-critical: sessions_ (whose dctx folds
-  // into the queue reclaimers) must die before disp_, and every ThreadCtx
-  // (worker ctxs die at thread exit, before the joins in stop()) before
-  // disp_/map_.
-  Disp disp_;
+  // Declaration order is destruction-critical: every ThreadCtx (worker
+  // ctxs die at thread exit, before the joins in stop()) before map_.
   Map map_;
   // Txn mode only. Declared after map_ (hence destroyed first): the txn
   // store holds Map& plus its cells; per-worker ctxs die with the worker
   // threads.
   std::unique_ptr<Txn> txn_;
-  // Feed mode only (both null otherwise). The claims serialize queue
-  // execution so each broadcast ring keeps a single writer; see pump().
+  // Feed mode only (null otherwise).
   std::unique_ptr<Feed> feed_;
-  std::unique_ptr<std::atomic<bool>[]> queue_claims_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   LeaseRegistry<> session_reg_;
   // Membership leases for the elastic pool (2x ceiling: a retiree's lease
   // may overlap its replacement's), counted as reg_join/reg_leave.

@@ -1,7 +1,9 @@
 // Cache-line-padded fixed-capacity SPSC ring + futex-free waiting.
 //
 // One ring per client session carries request handles from the client
-// (single producer) to the routing-claim holder (single consumer). The
+// (single producer) to the routing-claim holder (single consumer), and
+// one lane per shard carries them on from the routing-claim holder to
+// that lane's claim holder. The
 // single-producer/single-consumer discipline makes the ring wait-free with
 // plain acquire/release atomics: each side owns its index, only reads the
 // other's, and caches the remote index to avoid touching the shared line
@@ -21,8 +23,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "platform/yield_point.hpp"
+#include "util/assertion.hpp"
 #include "util/backoff.hpp"
 #include "util/cache.hpp"
 
@@ -32,20 +36,18 @@ namespace moir::svc {
 using ::moir::SpinWait;
 
 // Fixed-capacity single-producer/single-consumer ring of uint64 handles.
-// Capacity is a compile-time power of two (enforced by static_assert, not
-// a runtime round-up); indices are free-running and masked, so full/empty
-// never needs a spare slot or a separate count.
-template <std::uint32_t kCap = 64>
+// Capacity is set at construction and must be a power of two (asserted,
+// not rounded up); indices are free-running and masked, so full/empty
+// never needs a spare slot or a separate count. The slots are left
+// uninitialized: a slot is read only after the producer wrote it, and an
+// untouched page of a large ring is never faulted in.
 class SpscRing {
-  static_assert(kCap >= 1 && kCap <= (1u << 30),
-                "ring capacity out of range");
-  static_assert((kCap & (kCap - 1)) == 0,
-                "ring capacity must be a power of two");
-
  public:
-  SpscRing() = default;
+  explicit SpscRing(std::uint32_t capacity)
+      : mask_(checked_mask(capacity)),
+        slots_(std::make_unique_for_overwrite<std::uint64_t[]>(capacity)) {}
 
-  static constexpr std::uint32_t capacity() { return kCap; }
+  std::uint32_t capacity() const { return mask_ + 1; }
 
   // Occupancy estimate: exact for the consumer when the producer is quiet
   // and vice versa, a snapshot otherwise (each index is read once).
@@ -100,8 +102,6 @@ class SpscRing {
   }
 
  private:
-  static constexpr std::uint32_t mask_ = kCap - 1;
-
   // Each end gets its own cache line: the free-running index it owns plus
   // its private cache of the other end's index. The producer therefore
   // dirties only the tail line, the consumer only the head line.
@@ -110,7 +110,15 @@ class SpscRing {
     std::uint64_t cached_other = 0;
   };
 
-  std::uint64_t slots_[kCap];
+  static std::uint32_t checked_mask(std::uint32_t capacity) {
+    MOIR_ASSERT_MSG(capacity >= 1 && capacity <= (1u << 30) &&
+                        (capacity & (capacity - 1)) == 0,
+                    "ring capacity must be a power of two in [1, 2^30]");
+    return capacity - 1;
+  }
+
+  const std::uint32_t mask_;
+  std::unique_ptr<std::uint64_t[]> slots_;
   End head_;  // consumer-owned
   End tail_;  // producer-owned
 };

@@ -640,8 +640,7 @@ TEST(RegistryChurn, FigbwTrafficDuringChurn) {
 // ---------------------------------------------------------------------
 TEST(DurElasticService, GrowsUnderLoadThenShrinksToFloor) {
   using Svc = svc::KvService<Dur, reclaim::EpochReclaimer>;
-  // k = 4: the dispatcher's MS queue holds three LL-SC sequences open at
-  // once (head, tail, next), plus one of slack.
+  // k = 4 is slack: the map holds one LL-SC sequence open at a time.
   Dur sub(4);
   Svc svc(sub, {.queues = 2,
                 .workers = 1,
@@ -651,7 +650,6 @@ TEST(DurElasticService, GrowsUnderLoadThenShrinksToFloor) {
                 .batch = 1,  // any productive pump is a "full" batch
                 .max_sessions = 4,
                 .tickets_per_session = 16,
-                .use_rings = true,
                 .map = {.shards = 2, .buckets_per_shard = 8,
                         .capacity_per_shard = 256}});
   ASSERT_EQ(svc.live_workers(), 1u);

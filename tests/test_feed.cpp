@@ -454,7 +454,6 @@ Svc::Config feed_config(unsigned max_subscribers) {
           .batch = 8,
           .max_sessions = 2,
           .tickets_per_session = 8,
-          .use_rings = false,
           .feed = true,
           .feed_max_subscribers = max_subscribers,
           .map = {.shards = 1, .buckets_per_shard = 4,
@@ -472,7 +471,7 @@ TEST(KvServiceFeed, SubscribePollRoundTrip) {
   auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
     const auto t = svc.submit(c, op, k, v);
     EXPECT_TRUE(t.has_value());
-    svc.pump(w);
+    svc.serve(w);
     const auto r = svc.poll(c, *t);
     EXPECT_TRUE(r.has_value());
     return *r;
@@ -492,7 +491,7 @@ TEST(KvServiceFeed, SubscribePollRoundTrip) {
 
   const auto tp = svc.submit(c, Op::kPoll, id, 8);
   ASSERT_TRUE(tp.has_value());
-  svc.pump(w);
+  svc.serve(w);
   feed::Record recs[8];
   const auto d = svc.poll_feed(c, *tp, recs, 8);
   ASSERT_TRUE(d.has_value());
@@ -511,7 +510,7 @@ TEST(KvServiceFeed, SubscribePollRoundTrip) {
   // Drained: the next poll is empty, not a replay.
   const auto tp2 = svc.submit(c, Op::kPoll, id, 8);
   ASSERT_TRUE(tp2.has_value());
-  svc.pump(w);
+  svc.serve(w);
   const auto d2 = svc.poll_feed(c, *tp2, recs, 8);
   ASSERT_TRUE(d2.has_value());
   EXPECT_EQ(d2->delivered, 0u);
@@ -534,7 +533,7 @@ TEST(KvServiceFeed, ShardSubscriptionSeesAllKeys) {
   auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
     const auto t = svc.submit(c, op, k, v);
     EXPECT_TRUE(t.has_value());
-    svc.pump(w);
+    svc.serve(w);
     return *svc.poll(c, *t);
   };
 
@@ -545,7 +544,7 @@ TEST(KvServiceFeed, ShardSubscriptionSeesAllKeys) {
 
   const auto tp = svc.submit(c, Op::kPoll, s.value, 8);
   ASSERT_TRUE(tp.has_value());
-  svc.pump(w);
+  svc.serve(w);
   feed::Record recs[8];
   const auto d = svc.poll_feed(c, *tp, recs, 8);
   ASSERT_TRUE(d.has_value());
@@ -563,7 +562,7 @@ TEST(KvServiceFeed, SubscribeShedsAtLeaseCeiling) {
   auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
     const auto t = svc.submit(c, op, k, v);
     EXPECT_TRUE(t.has_value());
-    svc.pump(w);
+    svc.serve(w);
     return *svc.poll(c, *t);
   };
 
@@ -588,7 +587,7 @@ TEST(KvServiceFeed, RejectsForgedAndStaleSubscriptionTokens) {
   auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
     const auto t = svc.submit(c, op, k, v);
     EXPECT_TRUE(t.has_value());
-    svc.pump(w);
+    svc.serve(w);
     return *svc.poll(c, *t);
   };
 
@@ -632,7 +631,7 @@ TEST(KvServiceFeed, PollFeedClampsDeliveredToCallerBuffer) {
   auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
     const auto t = svc.submit(c, op, k, v);
     EXPECT_TRUE(t.has_value());
-    svc.pump(w);
+    svc.serve(w);
     return *svc.poll(c, *t);
   };
 
@@ -642,7 +641,7 @@ TEST(KvServiceFeed, PollFeedClampsDeliveredToCallerBuffer) {
 
   const auto tp = svc.submit(c, Op::kPoll, s.value, 8);
   ASSERT_TRUE(tp.has_value());
-  svc.pump(w);
+  svc.serve(w);
   feed::Record recs[2];
   const auto d = svc.poll_feed(c, *tp, recs, 2);
   ASSERT_TRUE(d.has_value());
@@ -665,7 +664,6 @@ TEST(KvServiceFeed, FullPoolWriteCompletesOverloadUnpublished) {
                 .batch = 8,
                 .max_sessions = 1,
                 .tickets_per_session = 8,
-                .use_rings = false,
                 .feed = true,
                 .feed_max_subscribers = 1,
                 .map = {.shards = 1, .buckets_per_shard = 4,
@@ -675,7 +673,7 @@ TEST(KvServiceFeed, FullPoolWriteCompletesOverloadUnpublished) {
   auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
     const auto t = svc.submit(c, op, k, v);
     EXPECT_TRUE(t.has_value());
-    svc.pump(w);
+    svc.serve(w);
     return *svc.poll(c, *t);
   };
 
@@ -694,7 +692,7 @@ TEST(KvServiceFeed, FullPoolWriteCompletesOverloadUnpublished) {
 
   const auto tp = svc.submit(c, Op::kPoll, s.value, 8);
   ASSERT_TRUE(tp.has_value());
-  svc.pump(w);
+  svc.serve(w);
   feed::Record recs[8];
   const auto d = svc.poll_feed(c, *tp, recs, 8);
   ASSERT_TRUE(d.has_value());
@@ -712,14 +710,13 @@ TEST(KvServiceFeed, FeedVerbsRequireFeedMode) {
                 .workers = 0,
                 .max_sessions = 1,
                 .tickets_per_session = 4,
-                .use_rings = false,
                 .map = {.shards = 1, .buckets_per_shard = 4,
                         .capacity_per_shard = 32}});
   auto c = svc.connect();
   auto w = svc.make_worker_ctx();
   const auto t = svc.submit(c, Op::kSubscribe, 1, 0);
   ASSERT_TRUE(t.has_value());
-  svc.pump(w);
+  svc.serve(w);
   const auto r = svc.poll(c, *t);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, Status::kOverload);
@@ -735,7 +732,6 @@ TEST(KvServiceFeed, PollResyncAfterRingOverrun) {
                  .batch = 8,
                  .max_sessions = 1,
                  .tickets_per_session = 8,
-                 .use_rings = false,
                  .feed = true,
                  .feed_max_subscribers = 2,
                  .map = {.shards = 1, .buckets_per_shard = 4,
@@ -745,7 +741,7 @@ TEST(KvServiceFeed, PollResyncAfterRingOverrun) {
   auto run = [&](Op op, std::uint64_t k, std::uint64_t v = 0) {
     const auto t = svc.submit(c, op, k, v);
     EXPECT_TRUE(t.has_value());
-    svc.pump(w);
+    svc.serve(w);
     return *svc.poll(c, *t);
   };
 
@@ -755,7 +751,7 @@ TEST(KvServiceFeed, PollResyncAfterRingOverrun) {
 
   const auto tp = svc.submit(c, Op::kPoll, s.value, 8);
   ASSERT_TRUE(tp.has_value());
-  svc.pump(w);
+  svc.serve(w);
   feed::Record recs[8];
   const auto d = svc.poll_feed(c, *tp, recs, 8);
   ASSERT_TRUE(d.has_value());
@@ -974,9 +970,9 @@ TEST(NegativeControl, FeedTornReadFoundByPct) {
 }
 
 // ---------------------------------------------------------------------
-// Whole-pipeline PCT smoke: writer client and subscriber client pump the
-// executor themselves (workers = 0), so the per-queue claim, the
-// executor-side feed verbs, and the ticket handshake all interleave
+// Whole-pipeline PCT smoke: writer client and subscriber client run
+// worker passes themselves (workers = 0), so the routing and lane claims,
+// the executor-side feed verbs, and the ticket handshake all interleave
 // under the controlled scheduler.
 // ---------------------------------------------------------------------
 
@@ -998,10 +994,10 @@ struct PipelineShared {
         w0(svc.make_worker_ctx()),
         w1(svc.make_worker_ctx()) {
     // Subscribe before the scheduled bodies run (shard 0 carries all
-    // traffic: feed_config uses one queue).
+    // traffic: feed_config uses one lane).
     const auto t = svc.submit(cs, Op::kSubscribe, 0, 1);
     MOIR_ASSERT(t.has_value());
-    svc.pump(w1);
+    svc.serve(w1);
     const auto r = svc.poll(cs, *t);
     MOIR_ASSERT(r.has_value() && r->status == Status::kOk);
     id = r->value;
@@ -1021,7 +1017,7 @@ struct PipelineShared {
     } else {
       submit_failed = true;
     }
-    svc.pump(w1);
+    svc.serve(w1);
     drain_ready_polls();
   }
 
@@ -1037,9 +1033,16 @@ struct PipelineShared {
     }
   }
 
-  bool check() {
-    while (svc.pump(w0) > 0) {
+  // Worker passes until one moves nothing (see drain in test_service).
+  void drain(Svc::WorkerCtx& w) {
+    for (;;) {
+      const auto p = svc.serve(w);
+      if (p.routed + p.executed == 0) break;
     }
+  }
+
+  bool check() {
+    drain(w0);
     for (const auto& t : writes) {
       if (!svc.poll(cw, t).has_value()) return false;
     }
@@ -1053,7 +1056,7 @@ struct PipelineShared {
     for (;;) {
       const auto t = svc.submit(cs, Op::kPoll, id, 8);
       if (!t.has_value()) return false;
-      svc.pump(w1);
+      svc.serve(w1);
       const auto d = svc.poll_feed(cs, *t, buf, 8);
       if (!d.has_value()) return false;
       for (unsigned i = 0; i < d->delivered; ++i) log.push_back(buf[i]);
@@ -1077,11 +1080,10 @@ TEST(PctSmoke, FeedPipeline) {
     ScheduleExplorer::Trial trial;
     trial.bodies.push_back([sh] {
       sh->write(Op::kUpsert, 1, 5);
-      sh->svc.pump(sh->w0);
+      sh->svc.serve(sh->w0);
       sh->write(Op::kUpsert, 2, 6);
       sh->write(Op::kUpsert, 1, 7);
-      while (sh->svc.pump(sh->w0) > 0) {
-      }
+      sh->drain(sh->w0);
     });
     trial.bodies.push_back([sh] {
       sh->poll_once();
@@ -1116,7 +1118,6 @@ TEST(FeedTorture, ServiceFanoutCoherence) {
                 .batch = 16,
                 .max_sessions = 4,
                 .tickets_per_session = 16,
-                .use_rings = true,
                 .feed = true,
                 .feed_max_subscribers = 4,
                 .map = {.shards = 2, .buckets_per_shard = 16,

@@ -1,13 +1,15 @@
 // KvService pipeline: end-to-end round trips through the full
-// ring -> routing -> shard-queue -> executor path, shed-on-full admission
-// (window, ring, and queue-pool exhaustion), graceful drain, the worker
+// ring -> routing -> lane -> executor path, shed-on-full admission
+// (window, ring, and lane exhaustion), graceful drain, the worker
 // topology (routing is a claimed worker role, not a thread), kInvalid
 // completion of malformed txn payloads, and linearizability of the whole
 // pipeline against SvcSpec under both DFS and PCT controlled schedules,
-// including the routing claim and its planted unclaimed-routing control.
+// including the routing and lane claims and their planted unclaimed
+// controls.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
@@ -52,9 +54,8 @@ class CountingScope {
 };
 
 TEST(SpscRing, SizeAndCapacityObservers) {
-  svc::SpscRing<8> ring;
-  static_assert(svc::SpscRing<8>::capacity() == 8);
-  static_assert(svc::SpscRing<>::capacity() == 64);
+  svc::SpscRing ring(8);
+  EXPECT_EQ(ring.capacity(), 8u);
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_TRUE(ring.empty_approx());
   for (std::uint64_t i = 0; i < 8; ++i) {
@@ -83,8 +84,8 @@ TEST(SpscRing, SizeAndCapacityObservers) {
 // Smallest ring with a distinct full and non-empty partial state: one
 // free slot after a push, exact full/empty detection, FIFO across reuse.
 TEST(SpscRing, MinimumCapacityTwo) {
-  svc::SpscRing<2> ring;
-  static_assert(svc::SpscRing<2>::capacity() == 2);
+  svc::SpscRing ring(2);
+  EXPECT_EQ(ring.capacity(), 2u);
   std::uint64_t v = 0;
   for (int round = 0; round < 5; ++round) {
     EXPECT_TRUE(ring.try_push(10 + round));
@@ -103,7 +104,7 @@ TEST(SpscRing, MinimumCapacityTwo) {
 // below 2^32 and walks traffic across the boundary, where a 32-bit index
 // (or a size computed in 32 bits) would wrap to garbage.
 TEST(SpscRing, IndexWraparoundAcross32BitBoundary) {
-  svc::SpscRing<8> ring;
+  svc::SpscRing ring(8);
   ring.reset_indices_for_test((std::uint64_t{1} << 32) - 3);
   std::uint64_t v = 0;
   // Straddle the boundary with a partially-filled ring in flight.
@@ -124,6 +125,29 @@ TEST(SpscRing, IndexWraparoundAcross32BitBoundary) {
   EXPECT_EQ(ring.size(), 0u);
 }
 
+// A one-slot ring is full after one push and empty after one pop, lap
+// after lap: the mask is 0, so every index maps to the same slot.
+TEST(SpscRing, CapacityOneHoldsOneEntry) {
+  svc::SpscRing ring(1);
+  EXPECT_EQ(ring.capacity(), 1u);
+  std::uint64_t v = 0;
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    EXPECT_TRUE(ring.try_push(round));
+    EXPECT_FALSE(ring.try_push(99)) << "1-slot ring full after one push";
+    EXPECT_EQ(ring.size(), 1u);
+    ASSERT_TRUE(ring.try_pop(v));
+    EXPECT_EQ(v, round);
+    EXPECT_FALSE(ring.try_pop(v));
+  }
+}
+
+// The capacity is masked, never rounded up: anything but a power of two
+// (or zero) is refused at construction.
+TEST(SpscRingDeathTest, NonPowerOfTwoCapacityAborts) {
+  EXPECT_DEATH(svc::SpscRing ring(3), "power of two");
+  EXPECT_DEATH(svc::SpscRing ring(0), "power of two");
+}
+
 // The ticket seqlock: one slot recycled through many generations. Each
 // reuse bumps gen, and done==gen from a STALE generation must never
 // complete a newer ticket (the slot's whole completion protocol).
@@ -134,7 +158,6 @@ TEST(KvService, TicketGenerationReuseAfterDrain) {
                 .workers = 0,
                 .max_sessions = 1,
                 .tickets_per_session = 1,  // every request reuses slot 0
-                .use_rings = false,
                 .map = {.shards = 1, .buckets_per_shard = 4,
                         .capacity_per_shard = 32}});
   auto c = svc.connect();
@@ -148,28 +171,33 @@ TEST(KvService, TicketGenerationReuseAfterDrain) {
     last_gen = t->gen;
     EXPECT_FALSE(svc.poll(c, *t).has_value())
         << "stale done word must not satisfy a newer generation";
-    EXPECT_EQ(svc.pump(w), 1u);
+    EXPECT_EQ(svc.serve(w).executed, 1u);
     const auto r = svc.poll(c, *t);
     ASSERT_TRUE(r.has_value());
     const auto tf = svc.submit(c, Op::kFind, 5, 0);
     ASSERT_TRUE(tf.has_value());
-    svc.pump(w);
+    svc.serve(w);
     const auto rf = svc.poll(c, *tf);
     ASSERT_TRUE(rf.has_value());
     EXPECT_EQ(rf->value, round * 11);
   }
 }
 
-// The dispatcher's key->queue hash must spread a dense key space evenly:
-// chi-squared over 1e5 sequential keys into 4 queues, against a cutoff
+// The service's key->lane hash must spread a dense key space evenly:
+// chi-squared over 1e5 sequential keys into 4 lanes, against a cutoff
 // far beyond df=3 noise (p << 1e-4) — catches a route that degenerates
 // to low bits or collapses shards, not ordinary variance.
 TEST(Dispatcher, KeyHashShardDistribution) {
   Sub sub;
-  svc::Dispatcher<Sub, EpochReclaimer> disp(sub, 2, 4, 16);
+  Svc svc(sub, {.queues = 4,
+                .queue_capacity = 16,
+                .workers = 0,
+                .max_sessions = 1,
+                .map = {.shards = 4, .buckets_per_shard = 4,
+                        .capacity_per_shard = 8}});
   constexpr unsigned kKeys = 100000;
   std::array<unsigned, 4> counts{};
-  for (std::uint64_t k = 0; k < kKeys; ++k) counts[disp.queue_of(k)]++;
+  for (std::uint64_t k = 0; k < kKeys; ++k) counts[svc.shard_of(k)]++;
   const double expected = kKeys / 4.0;
   double chi2 = 0;
   for (const unsigned c : counts) {
@@ -188,7 +216,6 @@ TEST(KvService, EndToEndRoundTrip) {
                 .batch = 4,
                 .max_sessions = 2,
                 .tickets_per_session = 8,
-                .use_rings = true,
                 .map = {.shards = 2, .buckets_per_shard = 4,
                         .capacity_per_shard = 64}});
   auto c = svc.connect();
@@ -226,8 +253,8 @@ TEST(KvService, EndToEndRoundTrip) {
 }
 
 // Admission window: W in-flight tickets, the W+1'th submit sheds (EBUSY),
-// and consuming a completion reopens the window. Direct mode with manual
-// pumping keeps every step deterministic.
+// and consuming a completion reopens the window. Manual pumping keeps
+// every step deterministic.
 TEST(KvService, ShedOnFullWindow) {
   CountingScope counting;
   Sub sub;
@@ -237,7 +264,6 @@ TEST(KvService, ShedOnFullWindow) {
                 .batch = 16,
                 .max_sessions = 1,
                 .tickets_per_session = 4,
-                .use_rings = false,
                 .map = {.shards = 1, .buckets_per_shard = 4,
                         .capacity_per_shard = 32}});
   auto c = svc.connect();
@@ -262,7 +288,7 @@ TEST(KvService, ShedOnFullWindow) {
   for (const auto& t : issued) EXPECT_FALSE(svc.poll(c, t).has_value());
 
   auto w = svc.make_worker_ctx();
-  EXPECT_EQ(svc.pump(w), 4u);
+  EXPECT_EQ(svc.serve(w).executed, 4u);
   for (const auto& t : issued) {
     const auto r = svc.poll(c, t);
     ASSERT_TRUE(r.has_value());
@@ -272,7 +298,7 @@ TEST(KvService, ShedOnFullWindow) {
   // The window reopened.
   const auto t = svc.submit(c, Op::kFind, 2);
   ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(svc.pump(w), 1u);
+  EXPECT_EQ(svc.serve(w).executed, 1u);
   const auto r = svc.poll(c, *t);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, 2u);
@@ -283,29 +309,27 @@ TEST(KvService, ShedOnFullWindow) {
   }
 }
 
-// Ring mode back-pressure: a full ring sheds at submit; a full shard-queue
-// node pool makes ROUTING complete the ticket with kOverload instead of
-// blocking on the executor.
+// Back-pressure: a full ring sheds at submit; a full lane makes ROUTING
+// complete the ticket with kOverload instead of blocking on the executor.
 TEST(KvService, RingAndQueueOverload) {
   // Ring capacity is a compile-time parameter now; this test wants a tiny
   // 4-entry ring, so it instantiates its own service type.
   using Svc4 = svc::KvService<Sub, EpochReclaimer, 4>;
   Sub sub;
   Svc4 svc(sub, {.queues = 1,
-                 .queue_capacity = 2,  // dummy node + 1 usable
+                 .queue_capacity = 1,  // one lane slot
                  .workers = 0,
                  .batch = 16,
                  .max_sessions = 1,
                  .tickets_per_session = 8,
-                 .use_rings = true,
-                 .map = {.shards = 1, .buckets_per_shard = 4,
+                  .map = {.shards = 1, .buckets_per_shard = 4,
                          .capacity_per_shard = 32}});
   auto c = svc.connect();
   auto rc = svc.make_router_ctx();
   auto w = svc.make_worker_ctx();
 
-  // Phase 1: three requests reach the router, but the shard queue has one
-  // free node — the surplus two complete kOverload at the router.
+  // Phase 1: three requests reach the router, but the lane has one free
+  // slot — the surplus two complete kOverload at the router.
   std::vector<Svc4::Ticket> issued;
   for (int i = 0; i < 3; ++i) {
     const auto t = svc.submit(c, Op::kInsert, i, i);
@@ -321,7 +345,7 @@ TEST(KvService, RingAndQueueOverload) {
   EXPECT_EQ(r1->status, Status::kOverload);
   EXPECT_EQ(r2->status, Status::kOverload);
   EXPECT_FALSE(svc.poll(c, issued[0]).has_value())
-      << "the enqueued request needs an executor pump";
+      << "the routed request needs an executor pump";
   EXPECT_EQ(svc.pump(w), 1u);
   const auto r0 = svc.poll(c, issued[0]);
   ASSERT_TRUE(r0.has_value());
@@ -338,7 +362,7 @@ TEST(KvService, RingAndQueueOverload) {
   EXPECT_FALSE(svc.submit(c, Op::kFind, 0).has_value())
       << "full ring must shed, not block";
 
-  // Drain: one router pass completes-or-enqueues everything it pops, so a
+  // Drain: one router pass completes-or-pushes everything it pops, so a
   // bounded number of pump passes finishes all four.
   svc.pump_session(rc, c.session());
   svc.pump(w);
@@ -358,7 +382,6 @@ TEST(KvService, DrainCompletesInFlight) {
                 .batch = 4,
                 .max_sessions = 1,
                 .tickets_per_session = 16,
-                .use_rings = true,
                 .map = {.shards = 2, .buckets_per_shard = 4,
                         .capacity_per_shard = 64}});
   auto c = svc.connect();
@@ -402,7 +425,6 @@ TEST(KvService, WorkersRouteWithoutRouterThread) {
                 .batch = 4,
                 .max_sessions = 1,
                 .tickets_per_session = 8,
-                .use_rings = true,
                 .map = {.shards = 2, .buckets_per_shard = 4,
                         .capacity_per_shard = 64}});
   EXPECT_EQ(threads() - before, 2) << "one thread per worker, no router";
@@ -419,6 +441,45 @@ TEST(KvService, WorkersRouteWithoutRouterThread) {
   }
 }
 
+// One lane shared by four workers and four client threads: every batch's
+// head index and cached tail pass from worker to worker through the lane
+// claim, and the lane's tail through the routing claim. Each client writes
+// and reads back keys of its own, so every response is predictable. Under
+// tsan-smoke, a handoff without its release/acquire edge is a data race.
+TEST(KvService, WorkersShareOneLane) {
+  Sub sub;
+  Svc svc(sub, {.queues = 1,
+                .queue_capacity = 64,
+                .workers = 4,
+                .batch = 4,
+                .max_sessions = 4,
+                .tickets_per_session = 8,
+                .map = {.shards = 1, .buckets_per_shard = 16,
+                        .capacity_per_shard = 128}});
+  constexpr unsigned kClients = 4;
+  const std::uint64_t rounds = scaled_budget(2000);
+  std::atomic<unsigned> wrong{0};
+  std::vector<std::thread> clients;
+  for (unsigned t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      auto c = svc.connect();
+      for (std::uint64_t i = 0; i < rounds; ++i) {
+        const std::uint64_t key = t * 16 + i % 16;
+        const auto tu = svc.submit(c, Op::kUpsert, key, i);
+        const auto ru = tu ? svc.wait(c, *tu) : svc::Response{};
+        const auto tf = svc.submit(c, Op::kFind, key);
+        const auto rf = tf ? svc.wait(c, *tf) : svc::Response{};
+        if (!tu || ru.status == Status::kOverload || !tf ||
+            rf.status != Status::kOk || rf.value != i) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
 // Drain accounting, deterministically: with manual pumping, completions
 // that happen after stop() are counted as svc_drain.
 TEST(KvService, StopShedsAndCountsDrain) {
@@ -429,7 +490,6 @@ TEST(KvService, StopShedsAndCountsDrain) {
                 .workers = 0,
                 .max_sessions = 1,
                 .tickets_per_session = 8,
-                .use_rings = false,
                 .map = {.shards = 1, .buckets_per_shard = 4,
                         .capacity_per_shard = 32}});
   auto c = svc.connect();
@@ -446,7 +506,7 @@ TEST(KvService, StopShedsAndCountsDrain) {
   EXPECT_FALSE(svc.submit(c, Op::kFind, 0).has_value());
 
   auto w = svc.make_worker_ctx();
-  EXPECT_EQ(svc.pump(w), 3u);
+  EXPECT_EQ(svc.serve(w).executed, 3u);
   for (const auto& t : issued) {
     ASSERT_TRUE(svc.poll(c, t).has_value());
   }
@@ -470,7 +530,6 @@ TEST(KvService, ConnectPastMaxSessionsIsRefused) {
                 .workers = 0,
                 .max_sessions = 2,
                 .tickets_per_session = 4,
-                .use_rings = false,
                 .map = {.shards = 1, .buckets_per_shard = 4,
                         .capacity_per_shard = 32}});
   auto a = svc.connect();
@@ -480,7 +539,7 @@ TEST(KvService, ConnectPastMaxSessionsIsRefused) {
   auto w = svc.make_worker_ctx();
   const auto ta = svc.submit(a, Op::kUpsert, 1, 10);
   ASSERT_TRUE(ta.has_value());
-  EXPECT_EQ(svc.pump(w), 1u);
+  EXPECT_EQ(svc.serve(w).executed, 1u);
   const auto before = stats::snapshot();
   {
     auto refused = svc.connect();
@@ -504,7 +563,7 @@ TEST(KvService, ConnectPastMaxSessionsIsRefused) {
   ASSERT_TRUE(c.connected()) << "a disconnect must free its session";
   const auto t = svc.submit(c, Op::kUpsert, 2, 20);
   ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(svc.pump(w), 1u);
+  EXPECT_EQ(svc.serve(w).executed, 1u);
   const auto r = svc.poll(c, *t);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, Status::kOk);
@@ -526,7 +585,6 @@ struct ManualTxnService {
                 .workers = 0,
                 .max_sessions = 1,
                 .tickets_per_session = 4,
-                .use_rings = false,
                 .txn = true,
                 .map = {.shards = 2, .buckets_per_shard = 4,
                         .capacity_per_shard = 32}}};
@@ -540,7 +598,7 @@ struct ManualTxnService {
       ADD_FAILURE() << "request shed at admission";
       return {Status::kOverload, 0};
     }
-    while (svc.pump(w) == 0) {
+    while (svc.serve(w).executed == 0) {
     }
     return *svc.poll(c, *t, values_out);
   }
@@ -689,7 +747,6 @@ TEST(KvServiceTxn, MultiOpWithoutKeySetCompletesInvalid) {
                   .workers = 0,
                   .max_sessions = 1,
                   .tickets_per_session = 2,
-                  .use_rings = false,
                   .map = {.shards = 1, .buckets_per_shard = 4,
                           .capacity_per_shard = 8}});
   auto c = plain.connect();
@@ -698,9 +755,40 @@ TEST(KvServiceTxn, MultiOpWithoutKeySetCompletesInvalid) {
   const auto t2 = plain.submit(c, Op::kMultiGet, 3);
   ASSERT_TRUE(t1.has_value());
   ASSERT_TRUE(t2.has_value());
-  EXPECT_EQ(plain.pump(w), 2u);
+  EXPECT_EQ(plain.serve(w).executed, 2u);
   EXPECT_EQ(plain.poll(c, *t1)->status, Status::kOverload);
   EXPECT_EQ(plain.poll(c, *t2)->status, Status::kOverload);
+}
+
+// Sessions hold no STM pid: only context holders (workers and manual
+// pumpers) count against the STM's 256-pid cap, so a txn-mode service
+// connects 255 sessions and serves each one request.
+TEST(KvServiceTxn, SessionsDoNotCapTxnMode) {
+  constexpr unsigned kSessions = 255;
+  Sub sub;
+  Svc svc(sub, {.queues = 2,
+                .workers = 0,
+                .max_sessions = kSessions,
+                .tickets_per_session = 1,
+                .txn = true,
+                .map = {.shards = 2, .buckets_per_shard = 64,
+                        .capacity_per_shard = 256}});
+  std::vector<Svc::ClientCtx> clients;
+  clients.reserve(kSessions);
+  for (unsigned i = 0; i < kSessions; ++i) {
+    clients.push_back(svc.connect());
+    ASSERT_TRUE(clients.back().connected());
+  }
+  auto w = svc.make_worker_ctx();
+  for (unsigned i = 0; i < kSessions; ++i) {
+    const auto t = svc.submit(clients[i], Op::kUpsert, i, i + 1);
+    ASSERT_TRUE(t.has_value());
+    while (svc.serve(w).executed == 0) {
+    }
+    const auto r = svc.poll(clients[i], *t);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, Status::kOk) << "session " << i;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -724,19 +812,28 @@ struct PendingOp {
   std::uint64_t inv = 0;
 };
 
-struct LinTrialShared {
+template <class SvcT>
+struct LinTrialSharedT {
   Sub sub;
-  Svc svc;
+  SvcT svc;
   HistoryRecorder rec{2};
-  std::vector<Svc::ClientCtx> clients;
-  std::vector<Svc::WorkerCtx> workers;
+  std::vector<typename SvcT::ClientCtx> clients;
+  std::vector<typename SvcT::WorkerCtx> workers;
   std::array<std::array<PendingOp, 8>, 2> pending{};
   // Completions per (session, slot): a handle routed twice completes twice.
   std::array<std::array<unsigned, 8>, 2> completions{};
   std::array<std::uint32_t, 2> next_slot{};
-  std::array<std::vector<Svc::Ticket>, 2> issued;
+  std::array<std::vector<typename SvcT::Ticket>, 2> issued;
 
-  explicit LinTrialShared(const Svc::Config& cfg) : svc(sub, cfg) {
+  LinTrialSharedT()
+      : svc(sub, {.queues = 1,
+                  .queue_capacity = 16,
+                  .workers = 0,
+                  .batch = 4,
+                  .max_sessions = 2,
+                  .tickets_per_session = 8,
+                  .map = {.shards = 1, .buckets_per_shard = 1,
+                          .capacity_per_shard = 16}}) {
     clients.reserve(2);
     workers.reserve(2);
     for (int t = 0; t < 2; ++t) {
@@ -793,15 +890,18 @@ struct LinTrialShared {
     issued[t].push_back(*ticket);
   }
 
-  // Post-join, on one thread: worker passes until one moves nothing. A
-  // lone caller always wins the routing claim, so that pass saw every
-  // ring and every queue empty.
-  void settle() {
+  // Body t's worker passes until one moves nothing. The other body may
+  // hold a claim at that moment, so this alone need not drain everything.
+  void drain(unsigned t) {
     for (;;) {
-      const auto p = svc.serve(workers[0], observer());
+      const auto p = svc.serve(workers[t], observer());
       if (p.routed + p.executed == 0) break;
     }
   }
+
+  // Post-join, on one thread: a lone caller always wins every claim, so
+  // its last pass saw every ring and every lane empty.
+  void settle() { drain(0); }
 
   // Post-join: everything was drained, so one poll sweep consumes every
   // ticket (required by the disconnect assertion); each issued ticket
@@ -826,43 +926,33 @@ struct LinTrialShared {
   }
 };
 
-Svc::Config lin_config(bool use_rings) {
-  return {.queues = 1,
-          .queue_capacity = 16,
-          .workers = 0,
-          .batch = 4,
-          .max_sessions = 2,
-          .tickets_per_session = 8,
-          .use_rings = use_rings,
-          .map = {.shards = 1, .buckets_per_shard = 1,
-                  .capacity_per_shard = 16}};
-}
+using LinTrialShared = LinTrialSharedT<Svc>;
 
 TEST(KvService, ExploreLinearizable) {
   auto make_trial = [] {
-    auto sh = std::make_shared<LinTrialShared>(lin_config(false));
+    auto sh = std::make_shared<LinTrialShared>();
     testing::ScheduleExplorer::Trial trial;
-    // Each body drains the shared queues after its own submits, so every
-    // enqueued request is executed by SOME body before the trial ends.
-    auto drain = [sh](unsigned t) {
-      while (sh->svc.pump(sh->workers[t], sh->observer()) > 0) {
-      }
-    };
-    trial.bodies.push_back([sh, drain] {
+    // Each body runs worker passes after its own submits; check() settles
+    // whatever a claim held by the other body left behind, so every
+    // request is executed before the history is checked.
+    trial.bodies.push_back([sh] {
       sh->submit_op(0, OpKind::kMapInsert, 0, 10);
-      sh->svc.pump(sh->workers[0], sh->observer());
+      sh->svc.serve(sh->workers[0], sh->observer());
       sh->submit_op(0, OpKind::kMapFind, 1, 0);
       sh->submit_op(0, OpKind::kMapErase, 0, 0);
-      drain(0);
+      sh->drain(0);
     });
-    trial.bodies.push_back([sh, drain] {
+    trial.bodies.push_back([sh] {
       sh->submit_op(1, OpKind::kMapInsert, 1, 11);
-      sh->svc.pump(sh->workers[1], sh->observer());
+      sh->svc.serve(sh->workers[1], sh->observer());
       sh->submit_op(1, OpKind::kMapUpsert, 0, 20);
       sh->submit_op(1, OpKind::kMapFind, 0, 0);
-      drain(1);
+      sh->drain(1);
     });
-    trial.check = [sh] { return sh->check(); };
+    trial.check = [sh] {
+      sh->settle();
+      return sh->check();
+    };
     return trial;
   };
 
@@ -874,41 +964,32 @@ TEST(KvService, ExploreLinearizable) {
   EXPECT_GT(r.trials, 0u);
 }
 
-// The full ring pipeline under PCT schedules. Rings are SPSC, so each
-// body routes ONLY its own session's ring (pump_session) — it is that
-// ring's unique consumer — then pumps the shared shard queues.
+// The full ring pipeline under PCT schedules. A lane has one producer,
+// so the bodies do not route their own rings side by side: each runs
+// worker passes, and the routing and lane claims keep every ring and lane
+// to one consumer and one producer.
 TEST(PctSmoke, ServicePipeline) {
   auto make_trial = [] {
-    auto sh = std::make_shared<LinTrialShared>(lin_config(true));
+    auto sh = std::make_shared<LinTrialShared>();
     testing::ScheduleExplorer::Trial trial;
-    auto route_and_pump = [sh](unsigned t) {
-      sh->svc.pump_session(sh->workers[t].dctx, sh->clients[t].session(),
-                           sh->observer());
-      sh->svc.pump(sh->workers[t], sh->observer());
-    };
-    auto drain = [sh, route_and_pump](unsigned t) {
-      for (;;) {
-        const unsigned moved = sh->svc.pump_session(
-            sh->workers[t].dctx, sh->clients[t].session(), sh->observer());
-        const unsigned done = sh->svc.pump(sh->workers[t], sh->observer());
-        if (moved == 0 && done == 0) break;
-      }
-    };
-    trial.bodies.push_back([sh, route_and_pump, drain] {
+    trial.bodies.push_back([sh] {
       sh->submit_op(0, OpKind::kMapInsert, 0, 10);
-      route_and_pump(0);
+      sh->svc.serve(sh->workers[0], sh->observer());
       sh->submit_op(0, OpKind::kMapUpsert, 1, 21);
       sh->submit_op(0, OpKind::kMapErase, 0, 0);
-      drain(0);
+      sh->drain(0);
     });
-    trial.bodies.push_back([sh, route_and_pump, drain] {
+    trial.bodies.push_back([sh] {
       sh->submit_op(1, OpKind::kMapInsert, 1, 11);
-      route_and_pump(1);
+      sh->svc.serve(sh->workers[1], sh->observer());
       sh->submit_op(1, OpKind::kMapFind, 0, 0);
       sh->submit_op(1, OpKind::kMapErase, 1, 0);
-      drain(1);
+      sh->drain(1);
     });
-    trial.check = [sh] { return sh->check(); };
+    trial.check = [sh] {
+      sh->settle();
+      return sh->check();
+    };
     return trial;
   };
 
@@ -926,23 +1007,31 @@ TEST(PctSmoke, ServicePipeline) {
 }
 
 // ---------------------------------------------------------------------
-// Routing as a claimed worker role. Two bodies each submit through their
-// own ring session, then run a worker pass on one shared service. Either
-// pass may route either ring, so only serve()'s claim keeps each SPSC
-// ring to one consumer. check() settles what the bodies left, then
+// Routing and lanes as claimed worker roles. Two bodies each submit
+// through their own ring session, then run worker passes on one shared
+// service with one lane. Either pass may route either ring and pop the
+// lane, so only serve()'s routing claim keeps each ring to one consumer
+// and the lane to one producer, and only pump()'s lane claim keeps the
+// lane to one consumer. check() settles what the bodies left, then
 // requires every issued ticket to complete exactly once and the history
-// to linearize against SvcSpec. The planted control (`claimed == false`)
-// runs pump_router + pump without the claim: two consumers on one ring,
-// so a handle popped by both completes twice.
+// to linearize against SvcSpec. Two planted controls: `claimed == false`
+// runs pump_router + pump without the routing claim (two consumers on one
+// ring, two producers on the lane), and SvcLaneBug pops the lane without
+// its claim (two consumers on the lane). Either way a handle popped by
+// both completes twice, or one is lost.
 // ---------------------------------------------------------------------
+using SvcLaneBug = svc::KvService<Sub, EpochReclaimer, 64, 64,
+                                  /*SkipLaneClaim=*/true>;
+
+template <class SvcT = Svc>
 testing::ScheduleExplorer::Trial make_routing_trial(bool claimed) {
-  auto sh = std::make_shared<LinTrialShared>(lin_config(true));
+  auto sh = std::make_shared<LinTrialSharedT<SvcT>>();
   auto pass = [sh, claimed](unsigned t) {
-    Svc::WorkerCtx& w = sh->workers[t];
+    auto& w = sh->workers[t];
     if (claimed) {
       sh->svc.serve(w, sh->observer());
     } else {
-      sh->svc.pump_router(w.dctx, sh->observer());
+      sh->svc.pump_router({}, sh->observer());
       sh->svc.pump(w, sh->observer());
     }
   };
@@ -1021,6 +1110,39 @@ TEST(NegativeControl, PctCatchesUnclaimedRouting) {
   const auto r = testing::ScheduleExplorer::pct_explore(make_trial, opts);
   ASSERT_TRUE(r.violation_found)
       << "PCT lost the planted second ring consumer (runs=" << r.trials
+      << ")";
+  const auto parsed = testing::Schedule::parse(r.schedule_string());
+  ASSERT_TRUE(parsed.has_value()) << r.schedule_string();
+  EXPECT_FALSE(testing::ScheduleExplorer::replay(make_trial, *parsed))
+      << "schedule " << r.schedule_string() << " did not replay the bug";
+}
+
+TEST(NegativeControl, DfsCatchesUnclaimedLanePop) {
+  const auto make_trial = [] { return make_routing_trial<SvcLaneBug>(true); };
+  const auto r = testing::ScheduleExplorer::explore(
+      make_trial,
+      testing::ExploreOptions{.max_trials = scaled_budget(kRoutingDfsTrials),
+                              .sleep_sets = true});
+  ASSERT_TRUE(r.violation_found)
+      << "DFS lost the planted second lane consumer (trials=" << r.trials
+      << ")";
+  const auto parsed = testing::Schedule::parse(r.schedule_string());
+  ASSERT_TRUE(parsed.has_value()) << r.schedule_string();
+  EXPECT_FALSE(testing::ScheduleExplorer::replay(make_trial, *parsed))
+      << "schedule " << r.schedule_string() << " did not replay the bug";
+}
+
+TEST(NegativeControl, PctCatchesUnclaimedLanePop) {
+  const auto make_trial = [] { return make_routing_trial<SvcLaneBug>(true); };
+  const testing::PctOptions opts{
+      .runs = scaled_budget(400),
+      .depth = 3,
+      .change_range = 96,
+      .seed = base_seed() + 47,
+  };
+  const auto r = testing::ScheduleExplorer::pct_explore(make_trial, opts);
+  ASSERT_TRUE(r.violation_found)
+      << "PCT lost the planted second lane consumer (runs=" << r.trials
       << ")";
   const auto parsed = testing::Schedule::parse(r.schedule_string());
   ASSERT_TRUE(parsed.has_value()) << r.schedule_string();

@@ -312,7 +312,6 @@ TEST(KvServiceTxn, PipelineCountsTl2Reads) {
                 .workers = 0,
                 .max_sessions = 1,
                 .tickets_per_session = 4,
-                .use_rings = false,
                 .txn = true,
                 .map = small_map()});
   auto c = svc.connect();
@@ -322,7 +321,7 @@ TEST(KvServiceTxn, PipelineCountsTl2Reads) {
                  std::span<const std::uint64_t> exps = {}) {
     const auto t = svc.submit_multi(c, op, keys, vals, exps);
     EXPECT_TRUE(t.has_value());
-    while (svc.pump(w) == 0) {
+    while (svc.serve(w).executed == 0) {
     }
     return svc.poll(c, *t)->status;
   };

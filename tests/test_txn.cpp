@@ -203,7 +203,6 @@ TEST(KvServiceTxn, MultiOpRoundTrip) {
                 .batch = 4,
                 .max_sessions = 2,
                 .tickets_per_session = 8,
-                .use_rings = true,
                 .txn = true,
                 .map = small_map()});
   auto c = svc.connect();
@@ -450,10 +449,10 @@ TEST(TxnKv, ExploreLinearizable) {
 
 // ---------------------------------------------------------------------
 // The full txn-mode ring pipeline under PCT schedules: two sessions
-// interleave single-key ops and two-key transactions; each body routes
-// its own ring (SPSC: unique consumer) and pumps the shared queues; the
-// observer reconstructs TxnSpec return values from the slot's response
-// vector at completion time.
+// interleave single-key ops and two-key transactions; each body runs
+// worker passes on the shared service, whose routing and lane claims keep
+// every ring and lane to one consumer; the observer reconstructs TxnSpec
+// return values from the slot's response vector at completion time.
 // ---------------------------------------------------------------------
 struct SvcTxnPending {
   OpKind kind = OpKind::kMapFind;
@@ -478,7 +477,6 @@ struct SvcTxnShared {
                   .batch = 4,
                   .max_sessions = 2,
                   .tickets_per_session = 8,
-                  .use_rings = true,
                   .txn = true,
                   .map = {.shards = 1, .buckets_per_shard = 1,
                           .capacity_per_shard = 16}}) {
@@ -571,6 +569,14 @@ struct SvcTxnShared {
          svc.submit_multi(clients[t], Op::kMultiCas, keys, dess, exps));
   }
 
+  // Body t's worker passes until one moves nothing.
+  void drain(unsigned t) {
+    for (;;) {
+      const auto p = svc.serve(workers[t], observer());
+      if (p.routed + p.executed == 0) break;
+    }
+  }
+
   bool check() {
     for (unsigned t = 0; t < 2; ++t) {
       for (const auto& ticket : issued[t]) {
@@ -586,34 +592,24 @@ TEST(PctSmoke, TxnPipeline) {
   auto make_trial = [] {
     auto sh = std::make_shared<SvcTxnShared>();
     testing::ScheduleExplorer::Trial trial;
-    auto route_and_pump = [sh](unsigned t) {
-      sh->svc.pump_session(sh->workers[t].dctx, sh->clients[t].session(),
-                           sh->observer());
-      sh->svc.pump(sh->workers[t], sh->observer());
-    };
-    auto drain = [sh](unsigned t) {
-      for (;;) {
-        const unsigned moved = sh->svc.pump_session(
-            sh->workers[t].dctx, sh->clients[t].session(), sh->observer());
-        const unsigned done = sh->svc.pump(sh->workers[t], sh->observer());
-        if (moved == 0 && done == 0) break;
-      }
-    };
-    trial.bodies.push_back([sh, route_and_pump, drain] {
+    trial.bodies.push_back([sh] {
       sh->submit_single(0, OpKind::kMapInsert, Op::kInsert, 0, 1);
-      route_and_pump(0);
+      sh->svc.serve(sh->workers[0], sh->observer());
       // Transfer 0 -> 1 iff key 0 holds 1 and key 1 is absent.
       sh->submit_mcas(0, 0, 1, Txn::wire(1), Txn::kAbsent, Txn::kAbsent,
                       Txn::wire(1));
-      drain(0);
+      sh->drain(0);
     });
-    trial.bodies.push_back([sh, route_and_pump, drain] {
+    trial.bodies.push_back([sh] {
       sh->submit_mput(1, 0, 1, 3, 4);
-      route_and_pump(1);
+      sh->svc.serve(sh->workers[1], sh->observer());
       sh->submit_mget(1, 0, 1);
-      drain(1);
+      sh->drain(1);
     });
-    trial.check = [sh] { return sh->check(); };
+    trial.check = [sh] {
+      sh->drain(0);  // post-join: a lone caller wins every claim
+      return sh->check();
+    };
     return trial;
   };
 
